@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -311,3 +312,115 @@ def test_threads_env_fallback(monkeypatch):
     monkeypatch.setenv("ALGREC_THREADS", "4")
     assert resolve_threads(None) == 4
     assert resolve_threads(2) == 2
+
+
+GOLDEN_CFG = """
+[group]
+kind = {group}
+
+[walk]
+steps = {steps}
+
+[budget]
+radius = {radius}
+
+[run]
+seeds = 1,2,3
+"""
+
+GOLDEN_SCENARIOS = {
+    "ZPower(2)": (60, 4),
+    "Free(2)": (40, 4),
+    "Heisenberg": (60, 4),
+    "LamplighterZ": (60, 4),
+    "CyclicZ(12)": (60, 4),
+}
+
+#: sha256 prefixes of every data file `walk` and `closure` write for
+#: GOLDEN_SCENARIOS. They pin output bytes across refactors; update them only
+#: for a change meant to alter what the commands write.
+GOLDEN_DIGESTS = {
+    "CyclicZ(12)": {
+        "closure_seed1.txt": "7cce5d6dee70029b",
+        "closure_seed2.txt": "d0919e64aeaaef48",
+        "closure_seed3.txt": "7cce5d6dee70029b",
+        "positions_seed1.csv": "4a91c29fb73f2bd6",
+        "positions_seed2.csv": "d688089b66b868f7",
+        "positions_seed3.csv": "cb68160157915d66",
+        "trace_seed1.txt": "b2c04b37f94443b1",
+        "trace_seed2.txt": "096dd5008830c70a",
+        "trace_seed3.txt": "9f90ca9db06f6e3a",
+        "witness_seed1.csv": "a07d88e579e21170",
+        "witness_seed2.csv": "12c08292607dae3f",
+        "witness_seed3.csv": "a96af2642ab21c74",
+    },
+    "Free(2)": {
+        "closure_seed1.txt": "2db8cca059ebe01b",
+        "closure_seed2.txt": "db052bf94a79a107",
+        "closure_seed3.txt": "2db8cca059ebe01b",
+        "positions_seed1.csv": "a8a3d5c3ea48338b",
+        "positions_seed2.csv": "927d6d31e39b56c6",
+        "positions_seed3.csv": "1fd763564b5db7de",
+        "trace_seed1.txt": "ffb419da4423d7a9",
+        "trace_seed2.txt": "df70a0b55dd1ea6c",
+        "trace_seed3.txt": "ff2d849d2abfe60a",
+        "witness_seed1.csv": "7339c04c81f65f31",
+        "witness_seed2.csv": "7733bda7470ac4de",
+        "witness_seed3.csv": "7339c04c81f65f31",
+    },
+    "Heisenberg": {
+        "closure_seed1.txt": "6d43cba204b60fe1",
+        "closure_seed2.txt": "64f202a3445d05d5",
+        "closure_seed3.txt": "ee547ed99c2d1031",
+        "positions_seed1.csv": "c1cffdf756134d99",
+        "positions_seed2.csv": "c2788899fa20e967",
+        "positions_seed3.csv": "31ae9465d5a286e3",
+        "trace_seed1.txt": "4994c99235592dce",
+        "trace_seed2.txt": "d9dbece6ca9eb5b4",
+        "trace_seed3.txt": "438d314c9542ab4c",
+        "witness_seed1.csv": "20f990c5b3a25a77",
+        "witness_seed2.csv": "0e53852c948e5d11",
+        "witness_seed3.csv": "2811de64c4caaf24",
+    },
+    "LamplighterZ": {
+        "closure_seed1.txt": "53eda446589d8327",
+        "closure_seed2.txt": "1651823dbef9e4bd",
+        "closure_seed3.txt": "720e8577f3fcef95",
+        "positions_seed1.csv": "85f5093614367598",
+        "positions_seed2.csv": "e38b1a2a6ea081ef",
+        "positions_seed3.csv": "d60fa48c455899f4",
+        "trace_seed1.txt": "10e61831eb9d0580",
+        "trace_seed2.txt": "69b0438f0ebb955a",
+        "trace_seed3.txt": "5a835f000c7f9193",
+        "witness_seed1.csv": "a880e2d0c5c47d9f",
+        "witness_seed2.csv": "052c5d90b670eac0",
+        "witness_seed3.csv": "1c63d496684700e9",
+    },
+    "ZPower(2)": {
+        "closure_seed1.txt": "9950607a8c9d4e98",
+        "closure_seed2.txt": "3aebfcb7e3c234f8",
+        "closure_seed3.txt": "bf1dd3f33a3f75b7",
+        "positions_seed1.csv": "59db31fdb5e1b1a4",
+        "positions_seed2.csv": "2c9f7128db4554ea",
+        "positions_seed3.csv": "6ef1b381d62f94b9",
+        "trace_seed1.txt": "adb284f30b53c7f5",
+        "trace_seed2.txt": "7a1341b18b393e12",
+        "trace_seed3.txt": "2faaa8e41f2b71fc",
+        "witness_seed1.csv": "50108e4ccc2e55b4",
+        "witness_seed2.csv": "b42281d849917e2a",
+        "witness_seed3.csv": "16683938e714e37c",
+    },
+}
+
+
+@pytest.mark.parametrize("group", sorted(GOLDEN_SCENARIOS))
+def test_cli_outputs_match_golden_digests(tmp_path, group):
+    steps, radius = GOLDEN_SCENARIOS[group]
+    cfg = write_config(tmp_path, GOLDEN_CFG.format(group=group, steps=steps,
+                                                   radius=radius))
+    out = tmp_path / "out"
+    for command in ("walk", "closure"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+    assert digests == GOLDEN_DIGESTS[group]
