@@ -42,7 +42,7 @@ from .identities import (
 )
 from .lattice import classify_subsemigroup, zero_in_convex_hull, ZeroInHullWitness
 from .manifest import RunManifest
-from .measures import validate_symmetric
+from .measures import first_asymmetric_atom
 from .walks import generate_walk, write_positions_csv, write_trace
 
 EXIT_OK = 0
@@ -141,10 +141,10 @@ def cmd_closure(args) -> int:
 def cmd_ar_estimate(args) -> int:
     config, meta, out_dir, threads = _prepare(args)
     measure = build_measure(config)
-    check = validate_symmetric(measure, ball_radius=1)
-    if not check.symmetric:
+    offending = first_asymmetric_atom(measure)
+    if offending is not None:
         raise ConfigError("measure",
-                          f"not symmetric at atom {format_element(check.offending_atom)}")
+                          f"not symmetric at atom {format_element(offending)}")
     budget = _budget(config)
     radius = config.effective_coverage_radius()
     start = time.perf_counter()

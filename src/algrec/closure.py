@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .groups import (
-    DEFAULT_WORD_LENGTH_CAP,
     GroupDescriptor,
     GroupElement,
     ball_size,
@@ -84,11 +83,10 @@ def closure(generators: Sequence[GroupElement],
     desc = gens[0].descriptor
     if any(g.descriptor != desc for g in gens):
         raise ValueError("generators must share one descriptor")
-    if desc.kind in ("Heisenberg", "LamplighterZ") \
-            and budget.radius > DEFAULT_WORD_LENGTH_CAP:
+    if budget.radius > desc.length_cap:
         raise ValueError(
             f"radius {budget.radius} exceeds BFS word-length cap "
-            f"{DEFAULT_WORD_LENGTH_CAP} for {desc}")
+            f"{desc.length_cap} for {desc}")
     seed = sorted({g for g in gens
                    if word_length_within(g, budget.radius) is not None},
                   key=canonical_key)

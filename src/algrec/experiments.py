@@ -1,5 +1,5 @@
-"""Reusable seeded experiment routines shared by the CLI, the scripts and
-the acceptance suite. Every routine is deterministic in its arguments; seed
+"""Reusable seeded experiment routines shared by the CLI and the acceptance
+suite. Every routine is deterministic in its arguments; seed
 fan-out preserves seed order regardless of the thread count."""
 
 from __future__ import annotations

@@ -202,16 +202,9 @@ class ReflectedWalkStats:
             return 0.0
         return (total - len(counts)) / total
 
-    def visit_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for j in self.complete_levels:
-            v = self.visits[j]
-            hist[v] = hist.get(v, 0) + 1
-        return hist
-
     @property
     def fitted_geometric_p(self) -> float:
-        """MLE of the re-arrival probability from the visit histogram."""
+        """MLE of the re-arrival probability from the per-level visit counts."""
         counts = [self.visits[j] for j in self.complete_levels]
         total = sum(counts)
         if total == 0:
@@ -325,7 +318,7 @@ class ExceedanceRow:
         return math.log2(self.length)
 
     def bound(self, d: int) -> float:
-        return (2 * d - 1) ** -math.log2(self.length)
+        return cancellation_bound(d, self.length)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,11 @@
-"""Exact arithmetic for five concrete finitely generated groups.
+"""Exact arithmetic for five concrete finitely generated groups: Z^d, free
+groups F_d (d >= 2), the discrete Heisenberg group, the lamplighter group
+over Z, and Z/m.
 
-Supported families: integer lattices Z^d, free groups F_d (d >= 2), the
-discrete Heisenberg group in upper-triangular coordinates, the lamplighter
-group over the integer line, and finite cyclic groups Z/m.
-
-Elements are immutable and carry one canonical payload per family:
-
-* ZPower(d)     tuple of d ints
-* Free(d)       reduced word, a tuple of nonzero letters in {-d..-1, 1..d}
-* Heisenberg    integer triple (a, b, c) with
-                (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2)
-* LamplighterZ  pair (position, lamps) where lamps is a sorted tuple of the
-                integers whose lamp is lit
-* CyclicZ(m)    single residue in [0, m)
+Each family is one ``GroupDescriptor`` subclass that owns its arithmetic,
+generators, word lengths, ball sizes and text form on raw payloads; the
+module functions delegate to it. Elements are immutable and carry one
+canonical payload, described in the family's class docstring.
 
 Word lengths in the Heisenberg and lamplighter groups come from a cached
 breadth-first search over the standard generators up to a radius cap; beyond
@@ -23,16 +16,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
-
-ZPOWER = "ZPower"
-FREE = "Free"
-HEISENBERG = "Heisenberg"
-LAMPLIGHTER = "LamplighterZ"
-CYCLIC = "CyclicZ"
-
-KINDS = (ZPOWER, FREE, HEISENBERG, LAMPLIGHTER, CYCLIC)
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, ClassVar, Iterable
 
 #: Default cap for BFS-based word lengths (Heisenberg, LamplighterZ).
 DEFAULT_WORD_LENGTH_CAP = 12
@@ -48,80 +33,316 @@ class WordLengthCapError(ValueError):
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """Identifies one group: a family plus its integer parameter, if any."""
+    """Identifies one group, a family plus its integer parameter if any, and
+    implements that family on raw payloads.
 
-    kind: str
-    rank: int = 0
-    modulus: int = 0
+    Subclasses define ``identity_payload``, ``generator_payloads``,
+    ``canonicalize``, ``mul``, ``inv``, ``ball_size``, ``format`` and
+    ``parse``. Word lengths default to the subclass's closed-form ``length``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown group kind {self.kind!r}")
-        if self.kind == ZPOWER and self.rank < 1:
-            raise ValueError("ZPower requires d >= 1")
-        if self.kind == FREE and self.rank < 2:
-            raise ValueError("Free requires d >= 2")
-        if self.kind == CYCLIC and self.modulus < 1:
-            raise ValueError("CyclicZ requires m >= 1")
+    #: Family name, as in the text form of the descriptor.
+    kind: ClassVar[str]
+    #: Largest radius a closure may use; finite only for families whose
+    #: lengths come from the BFS ball.
+    length_cap: ClassVar[float] = math.inf
 
     def __str__(self) -> str:
-        if self.kind == ZPOWER:
-            return f"ZPower({self.rank})"
-        if self.kind == FREE:
-            return f"Free({self.rank})"
-        if self.kind == CYCLIC:
-            return f"CyclicZ({self.modulus})"
-        return self.kind
+        params = ",".join(str(getattr(self, f.name)) for f in fields(self))
+        return f"{self.kind}({params})" if params else self.kind
+
+    def word_length(self, a: GroupElement, cap: int) -> int:
+        return self.length(a.payload)
+
+    def length_within(self, a: GroupElement, radius: int) -> int | None:
+        n = self.length(a.payload)
+        return n if n <= radius else None
+
+    def sphere_size(self, radius: int) -> int:
+        return self.ball_size(radius) - self.ball_size(radius - 1)
 
 
-def zpower(d: int) -> GroupDescriptor:
-    return GroupDescriptor(ZPOWER, rank=d)
+class _BallLengths(GroupDescriptor):
+    """Families without a closed form: lengths are looked up in the BFS ball."""
+
+    length_cap = DEFAULT_WORD_LENGTH_CAP
+
+    def word_length(self, a: GroupElement, cap: int) -> int:
+        n = ball_distances(self, cap).get(a)
+        if n is None:
+            raise WordLengthCapError(
+                f"word length of {format_element(a)} exceeds BFS cap {cap}")
+        return n
+
+    def length_within(self, a: GroupElement, radius: int) -> int | None:
+        return ball_distances(self, radius).get(a)
+
+    def ball_size(self, radius: int) -> int:
+        return len(ball_distances(self, radius))
 
 
-def free(d: int) -> GroupDescriptor:
-    return GroupDescriptor(FREE, rank=d)
+@dataclass(frozen=True)
+class ZPower(GroupDescriptor):
+    """Z^d; payload: tuple of d ints. Word length is the l1 norm."""
+
+    rank: int
+    kind = "ZPower"
+
+    def __post_init__(self) -> None:
+        if self.rank < 1:
+            raise ValueError("ZPower requires d >= 1")
+
+    def canonicalize(self, payload: Any) -> tuple[int, ...]:
+        coords = tuple(int(x) for x in payload)
+        if len(coords) != self.rank:
+            raise ValueError(f"expected {self.rank} coordinates")
+        return coords
+
+    @property
+    def identity_payload(self) -> tuple[int, ...]:
+        return (0,) * self.rank
+
+    def mul(self, p: tuple, q: tuple) -> tuple[int, ...]:
+        return tuple(x + y for x, y in zip(p, q))
+
+    def inv(self, p: tuple) -> tuple[int, ...]:
+        return tuple(-x for x in p)
+
+    @property
+    def generator_payloads(self) -> list[tuple[int, ...]]:
+        d = self.rank
+        return [tuple(sign if j == i else 0 for j in range(d))
+                for i in range(d) for sign in (1, -1)]
+
+    def length(self, p: tuple) -> int:
+        return sum(abs(x) for x in p)
+
+    def ball_size(self, radius: int) -> int:
+        d = self.rank
+        return sum(2 ** k * math.comb(d, k) * math.comb(radius, k)
+                   for k in range(0, min(d, radius) + 1))
+
+    def format(self, p: tuple) -> str:
+        return "(" + ",".join(str(x) for x in p) + ")"
+
+    def parse(self, s: str) -> tuple[int, ...]:
+        if not (s.startswith("(") and s.endswith(")")):
+            raise ValueError("expected (c1,...,cd)")
+        inner = s[1:-1]
+        return self.canonicalize([int(t) for t in inner.split(",")] if inner else [])
 
 
-def heisenberg() -> GroupDescriptor:
-    return GroupDescriptor(HEISENBERG)
+@dataclass(frozen=True)
+class Free(GroupDescriptor):
+    """F_d, d >= 2; payload: reduced word, a tuple of nonzero letters in
+    {-d..-1, 1..d}. Word length is the word's length."""
+
+    rank: int
+    kind = "Free"
+    identity_payload = ()
+
+    def __post_init__(self) -> None:
+        if self.rank < 2:
+            raise ValueError("Free requires d >= 2")
+
+    def canonicalize(self, letters: Iterable[int]) -> tuple[int, ...]:
+        """Fully reduce a letter sequence of nonzero ints in +-1..+-d."""
+        out: list[int] = []
+        for raw in letters:
+            s = int(raw)
+            if s == 0 or abs(s) > self.rank:
+                raise ValueError(f"letter {s} outside alphabet of rank {self.rank}")
+            if out and out[-1] == -s:
+                out.pop()
+            else:
+                out.append(s)
+        return tuple(out)
+
+    def mul(self, u: tuple, v: tuple) -> tuple[int, ...]:
+        i, j, nv = len(u), 0, len(v)
+        while i > 0 and j < nv and u[i - 1] == -v[j]:
+            i -= 1
+            j += 1
+        return u[:i] + v[j:]
+
+    def inv(self, p: tuple) -> tuple[int, ...]:
+        return tuple(-s for s in reversed(p))
+
+    @property
+    def generator_payloads(self) -> list[tuple[int]]:
+        return [(s,) for i in range(1, self.rank + 1) for s in (i, -i)]
+
+    def length(self, p: tuple) -> int:
+        return len(p)
+
+    def ball_size(self, radius: int) -> int:
+        d = self.rank
+        return 1 + d * ((2 * d - 1) ** radius - 1) // (d - 1)
+
+    def format(self, p: tuple) -> str:
+        if not p:
+            return "e"
+        return " ".join(f"x{s}" if s > 0 else f"X{-s}" for s in p)
+
+    def parse(self, s: str) -> tuple[int, ...]:
+        if s == "e":
+            return ()
+        letters = []
+        for tok in s.split():
+            if tok[0] == "x":
+                letters.append(int(tok[1:]))
+            elif tok[0] == "X":
+                letters.append(-int(tok[1:]))
+            else:
+                raise ValueError(f"bad letter token {tok!r}")
+        word = tuple(letters)
+        if word != self.canonicalize(word):
+            raise ValueError("word is not reduced")
+        return word
 
 
-def lamplighter_z() -> GroupDescriptor:
-    return GroupDescriptor(LAMPLIGHTER)
+@dataclass(frozen=True)
+class Heisenberg(_BallLengths):
+    """The discrete Heisenberg group; payload: integer triple (a, b, c) with
+    (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2)."""
+
+    kind = "Heisenberg"
+    identity_payload = (0, 0, 0)
+    generator_payloads = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+
+    def canonicalize(self, payload: Any) -> tuple[int, int, int]:
+        a, b, c = payload
+        return (int(a), int(b), int(c))
+
+    def mul(self, p: tuple, q: tuple) -> tuple[int, int, int]:
+        a1, b1, c1 = p
+        a2, b2, c2 = q
+        return (a1 + a2, b1 + b2, c1 + c2 + a1 * b2)
+
+    def inv(self, p: tuple) -> tuple[int, int, int]:
+        a1, b1, c1 = p
+        return (-a1, -b1, a1 * b1 - c1)
+
+    def format(self, p: tuple) -> str:
+        return "H({},{},{})".format(*p)
+
+    def parse(self, s: str) -> tuple[int, int, int]:
+        if not (s.startswith("H(") and s.endswith(")")):
+            raise ValueError("expected H(a,b,c)")
+        return self.canonicalize(int(t) for t in s[2:-1].split(","))
 
 
-def cyclic(m: int) -> GroupDescriptor:
-    return GroupDescriptor(CYCLIC, modulus=m)
+@dataclass(frozen=True)
+class LamplighterZ(_BallLengths):
+    """The lamplighter group over Z; payload: pair (position, lamps) where
+    lamps is the sorted tuple of the integers whose lamp is lit."""
+
+    kind = "LamplighterZ"
+    identity_payload = (0, ())
+    generator_payloads = ((1, ()), (-1, ()), (0, (0,)))
+
+    def canonicalize(self, payload: Any) -> tuple[int, tuple[int, ...]]:
+        pos, lamps = payload
+        return (int(pos), tuple(sorted(set(int(s) for s in lamps))))
+
+    def mul(self, p: tuple, q: tuple) -> tuple[int, tuple[int, ...]]:
+        x, f = p
+        y, g = q
+        lamps = set(f).symmetric_difference(s + x for s in g)
+        return (x + y, tuple(sorted(lamps)))
+
+    def inv(self, p: tuple) -> tuple[int, tuple[int, ...]]:
+        x, f = p
+        return (-x, tuple(sorted(s - x for s in f)))
+
+    def format(self, p: tuple) -> str:
+        x, f = p
+        return "L({};{{{}}})".format(x, ",".join(str(s) for s in f))
+
+    def parse(self, s: str) -> tuple[int, tuple[int, ...]]:
+        if not (s.startswith("L(") and s.endswith("})")):
+            raise ValueError("expected L(x;{s1,...})")
+        pos_part, lamp_part = s[2:-1].split(";", 1)
+        if not (lamp_part.startswith("{") and lamp_part.endswith("}")):
+            raise ValueError("expected lamp support in braces")
+        body = lamp_part[1:-1]
+        lamps = [int(t) for t in body.split(",")] if body else []
+        if lamps != sorted(set(lamps)):
+            raise ValueError("lamp support must be sorted and duplicate-free")
+        return self.canonicalize((int(pos_part), lamps))
 
 
-_DESCRIPTOR_ALIASES = {"z": ZPOWER, "zpower": ZPOWER, "free": FREE,
-                       "heisenberg": HEISENBERG, "lamplighterz": LAMPLIGHTER,
-                       "lamplighter": LAMPLIGHTER, "cyclicz": CYCLIC,
-                       "cyclic": CYCLIC}
+@dataclass(frozen=True)
+class CyclicZ(GroupDescriptor):
+    """Z/m; payload: residue in [0, m). Word length is the distance to 0."""
+
+    modulus: int
+    kind = "CyclicZ"
+    identity_payload = 0
+
+    def __post_init__(self) -> None:
+        if self.modulus < 1:
+            raise ValueError("CyclicZ requires m >= 1")
+
+    def canonicalize(self, payload: Any) -> int:
+        return int(payload) % self.modulus
+
+    def mul(self, p: int, q: int) -> int:
+        return (p + q) % self.modulus
+
+    def inv(self, p: int) -> int:
+        return (-p) % self.modulus
+
+    @property
+    def generator_payloads(self) -> tuple[int, int]:
+        return (1 % self.modulus, (-1) % self.modulus)
+
+    def length(self, p: int) -> int:
+        return min(p, self.modulus - p)
+
+    def ball_size(self, radius: int) -> int:
+        return min(self.modulus, 2 * radius + 1)
+
+    def format(self, p: int) -> str:
+        return f"{p} mod {self.modulus}"
+
+    def parse(self, s: str) -> int:
+        value, mod_kw, modulus = s.split()
+        if mod_kw != "mod" or int(modulus) != self.modulus:
+            raise ValueError("expected 'r mod m'")
+        r = int(value)
+        if not 0 <= r < self.modulus:
+            raise ValueError("residue out of range")
+        return r
+
+
+zpower = ZPower
+free = Free
+heisenberg = Heisenberg
+lamplighter_z = LamplighterZ
+cyclic = CyclicZ
+
+_DESCRIPTOR_ALIASES: dict[str, type[GroupDescriptor]] = {
+    "z": ZPower, "lamplighter": LamplighterZ, "cyclic": CyclicZ,
+    **{f.kind.lower(): f for f in (ZPower, Free, Heisenberg, LamplighterZ, CyclicZ)}}
 
 
 def parse_descriptor(text: str) -> GroupDescriptor:
     """Parse a descriptor like ``ZPower(2)``, ``Free(5)`` or ``Heisenberg``."""
-    s = text.strip()
-    name, arg = s, None
-    if "(" in s:
-        if not s.endswith(")"):
-            raise ValueError(f"malformed group descriptor {text!r}")
-        name, rest = s.split("(", 1)
-        arg = rest[:-1].strip()
-    kind = _DESCRIPTOR_ALIASES.get(name.strip().lower())
-    if kind is None:
+    name, paren, rest = text.strip().partition("(")
+    if paren and not rest.endswith(")"):
+        raise ValueError(f"malformed group descriptor {text!r}")
+    arg = rest[:-1].strip()
+    family = _DESCRIPTOR_ALIASES.get(name.strip().lower())
+    if family is None:
         raise ValueError(f"unknown group {text!r}")
-    if kind in (ZPOWER, FREE, CYCLIC):
-        if arg is None or not arg:
-            raise ValueError(f"group {name!r} needs an integer parameter")
-        value = int(arg)
-        if kind == CYCLIC:
-            return cyclic(value)
-        return zpower(value) if kind == ZPOWER else free(value)
-    if arg not in (None, ""):
-        raise ValueError(f"group {name!r} takes no parameter")
-    return GroupDescriptor(kind)
+    if not fields(family):
+        if arg:
+            raise ValueError(f"group {name!r} takes no parameter")
+        return family()
+    if not arg:
+        raise ValueError(f"group {name!r} needs an integer parameter")
+    return family(int(arg))
 
 
 @dataclass(frozen=True)
@@ -147,55 +368,17 @@ class GroupElement:
 
 def canonicalize_payload(descriptor: GroupDescriptor, payload: Any) -> Any:
     """Return the canonical payload for a raw payload of the right shape."""
-    kind = descriptor.kind
-    if kind == ZPOWER:
-        coords = tuple(int(x) for x in payload)
-        if len(coords) != descriptor.rank:
-            raise ValueError(f"expected {descriptor.rank} coordinates")
-        return coords
-    if kind == FREE:
-        return reduce_word(payload, descriptor.rank)
-    if kind == HEISENBERG:
-        a, b, c = payload
-        return (int(a), int(b), int(c))
-    if kind == LAMPLIGHTER:
-        pos, lamps = payload
-        return (int(pos), tuple(sorted(set(int(s) for s in lamps))))
-    # cyclic
-    return int(payload) % descriptor.modulus
+    return descriptor.canonicalize(payload)
 
 
 def make_element(descriptor: GroupDescriptor, payload: Any) -> GroupElement:
     """Validating constructor: canonicalizes the payload first."""
-    return GroupElement(descriptor, canonicalize_payload(descriptor, payload))
-
-
-def reduce_word(letters: Iterable[int], rank: int) -> tuple[int, ...]:
-    """Fully reduce a letter sequence; letters are nonzero ints in +-1..+-d."""
-    out: list[int] = []
-    for raw in letters:
-        s = int(raw)
-        if s == 0 or abs(s) > rank:
-            raise ValueError(f"letter {s} outside alphabet of rank {rank}")
-        if out and out[-1] == -s:
-            out.pop()
-        else:
-            out.append(s)
-    return tuple(out)
+    return GroupElement(descriptor, descriptor.canonicalize(payload))
 
 
 def identity(descriptor: GroupDescriptor) -> GroupElement:
     """The neutral element of the group."""
-    kind = descriptor.kind
-    if kind == ZPOWER:
-        return GroupElement(descriptor, (0,) * descriptor.rank)
-    if kind == FREE:
-        return GroupElement(descriptor, ())
-    if kind == HEISENBERG:
-        return GroupElement(descriptor, (0, 0, 0))
-    if kind == LAMPLIGHTER:
-        return GroupElement(descriptor, (0, ()))
-    return GroupElement(descriptor, 0)
+    return GroupElement(descriptor, descriptor.identity_payload)
 
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -203,44 +386,12 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     desc = a.descriptor
     if desc != b.descriptor:
         raise DescriptorMismatchError(f"{desc} vs {b.descriptor}")
-    kind = desc.kind
-    if kind == ZPOWER:
-        return GroupElement(desc, tuple(x + y for x, y in zip(a.payload, b.payload)))
-    if kind == FREE:
-        u, v = a.payload, b.payload
-        i, j = len(u), 0
-        nv = len(v)
-        while i > 0 and j < nv and u[i - 1] == -v[j]:
-            i -= 1
-            j += 1
-        return GroupElement(desc, u[:i] + v[j:])
-    if kind == HEISENBERG:
-        a1, b1, c1 = a.payload
-        a2, b2, c2 = b.payload
-        return GroupElement(desc, (a1 + a2, b1 + b2, c1 + c2 + a1 * b2))
-    if kind == LAMPLIGHTER:
-        x, f = a.payload
-        y, g = b.payload
-        lamps = set(f).symmetric_difference(s + x for s in g)
-        return GroupElement(desc, (x + y, tuple(sorted(lamps))))
-    return GroupElement(desc, (a.payload + b.payload) % desc.modulus)
+    return GroupElement(desc, desc.mul(a.payload, b.payload))
 
 
 def invert(a: GroupElement) -> GroupElement:
     """The group inverse."""
-    desc = a.descriptor
-    kind = desc.kind
-    if kind == ZPOWER:
-        return GroupElement(desc, tuple(-x for x in a.payload))
-    if kind == FREE:
-        return GroupElement(desc, tuple(-s for s in reversed(a.payload)))
-    if kind == HEISENBERG:
-        a1, b1, c1 = a.payload
-        return GroupElement(desc, (-a1, -b1, a1 * b1 - c1))
-    if kind == LAMPLIGHTER:
-        x, f = a.payload
-        return GroupElement(desc, (-x, tuple(sorted(s - x for s in f))))
-    return GroupElement(desc, (-a.payload) % desc.modulus)
+    return GroupElement(a.descriptor, a.descriptor.inv(a.payload))
 
 
 def power(a: GroupElement, n: int) -> GroupElement:
@@ -264,32 +415,8 @@ def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
 
 def standard_generators(descriptor: GroupDescriptor) -> tuple[GroupElement, ...]:
     """The standard symmetric generating set, in canonical text order."""
-    kind = descriptor.kind
-    gens: list[GroupElement] = []
-    if kind == ZPOWER:
-        d = descriptor.rank
-        for i in range(d):
-            for sign in (1, -1):
-                coords = [0] * d
-                coords[i] = sign
-                gens.append(GroupElement(descriptor, tuple(coords)))
-    elif kind == FREE:
-        for i in range(1, descriptor.rank + 1):
-            gens.append(GroupElement(descriptor, (i,)))
-            gens.append(GroupElement(descriptor, (-i,)))
-    elif kind == HEISENBERG:
-        for payload in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)):
-            gens.append(GroupElement(descriptor, payload))
-    elif kind == LAMPLIGHTER:
-        gens.append(GroupElement(descriptor, (1, ())))
-        gens.append(GroupElement(descriptor, (-1, ())))
-        gens.append(GroupElement(descriptor, (0, (0,))))
-    else:
-        m = descriptor.modulus
-        seen = {GroupElement(descriptor, 1 % m), GroupElement(descriptor, (-1) % m)}
-        gens.extend(seen)
-    unique = sorted(set(gens), key=canonical_key)
-    return tuple(unique)
+    gens = {GroupElement(descriptor, p) for p in descriptor.generator_payloads}
+    return tuple(sorted(gens, key=canonical_key))
 
 
 # ---------------------------------------------------------------------------
@@ -337,75 +464,30 @@ def ball_elements(descriptor: GroupDescriptor, radius: int) -> list[GroupElement
 
 
 def ball_size(descriptor: GroupDescriptor, radius: int) -> int:
-    """|{g : word_length(g) <= radius}| without enumerating where avoidable."""
+    """|{g : word_length(g) <= radius}|, in closed form where there is one."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    kind = descriptor.kind
-    if kind == ZPOWER:
-        d = descriptor.rank
-        return sum(2 ** k * math.comb(d, k) * math.comb(radius, k)
-                   for k in range(0, min(d, radius) + 1))
-    if kind == FREE:
-        return 1 + sum(sphere_size(descriptor, r) for r in range(1, radius + 1))
-    if kind == CYCLIC:
-        return min(descriptor.modulus, 2 * radius + 1)
-    return len(ball_distances(descriptor, radius))
+    return descriptor.ball_size(radius)
 
 
 def sphere_size(descriptor: GroupDescriptor, radius: int) -> int:
     """|{g : word_length(g) == radius}|."""
-    if radius == 0:
-        return 1
-    kind = descriptor.kind
-    if kind == FREE:
-        d = descriptor.rank
-        return 2 * d * (2 * d - 1) ** (radius - 1)
-    if kind == ZPOWER or kind == CYCLIC:
-        return ball_size(descriptor, radius) - ball_size(descriptor, radius - 1)
-    dist = ball_distances(descriptor, radius)
-    return sum(1 for v in dist.values() if v == radius)
+    return 1 if radius == 0 else descriptor.sphere_size(radius)
 
 
 def word_length(a: GroupElement, cap: int = DEFAULT_WORD_LENGTH_CAP) -> int:
-    """Word length with respect to the standard generators.
-
-    Closed forms for ZPower (l1 norm), Free (reduced length) and CyclicZ;
-    BFS lookup up to ``cap`` for Heisenberg and LamplighterZ, raising
-    WordLengthCapError past the cap.
-    """
-    kind = a.descriptor.kind
-    if kind == ZPOWER:
-        return sum(abs(x) for x in a.payload)
-    if kind == FREE:
-        return len(a.payload)
-    if kind == CYCLIC:
-        r = a.payload
-        return min(r, a.descriptor.modulus - r)
-    dist = ball_distances(a.descriptor, cap)
-    try:
-        return dist[a]
-    except KeyError:
-        raise WordLengthCapError(
-            f"word length of {format_element(a)} exceeds BFS cap {cap}") from None
+    """Word length with respect to the standard generators. Families without
+    a closed form raise WordLengthCapError past ``cap``."""
+    return a.descriptor.word_length(a, cap)
 
 
 def word_length_within(a: GroupElement, radius: int) -> int | None:
     """Word length if it is <= radius, else None. Never raises on long elements."""
-    kind = a.descriptor.kind
-    if kind in (ZPOWER, FREE, CYCLIC):
-        n = word_length(a)
-        return n if n <= radius else None
-    return ball_distances(a.descriptor, radius).get(a)
+    return a.descriptor.length_within(a, radius)
 
 
 # ---------------------------------------------------------------------------
 # Homomorphisms
-
-ABELIANIZE = "Abelianize"
-MOD_M = "ModM"
-POS = "Pos"
-HEISENBERG_ABELIANIZE = "HeisenbergAbelianize"
-
 
 @dataclass(frozen=True)
 class Homomorphism:
@@ -414,137 +496,54 @@ class Homomorphism:
     kind: str
     source: GroupDescriptor
     target: GroupDescriptor
+    map_payload: Callable[[Any], Any] = field(compare=False, repr=False)
 
 
 def abelianize(d: int) -> Homomorphism:
     """Free(d) -> ZPower(d), letter exponent sums."""
-    return Homomorphism(ABELIANIZE, free(d), zpower(d))
+    return Homomorphism("Abelianize", free(d), zpower(d), lambda w: tuple(
+        w.count(i) - w.count(-i) for i in range(1, d + 1)))
 
 
 def mod_m(m: int) -> Homomorphism:
     """ZPower(1) -> CyclicZ(m), reduction of the single coordinate."""
-    return Homomorphism(MOD_M, zpower(1), cyclic(m))
+    return Homomorphism("ModM", zpower(1), cyclic(m), lambda p: p[0] % m)
 
 
 def pos_projection() -> Homomorphism:
     """LamplighterZ -> ZPower(1), forget the lamps."""
-    return Homomorphism(POS, lamplighter_z(), zpower(1))
+    return Homomorphism("Pos", lamplighter_z(), zpower(1), lambda p: (p[0],))
 
 
 def heisenberg_abelianize() -> Homomorphism:
     """Heisenberg -> ZPower(2), drop the central coordinate."""
-    return Homomorphism(HEISENBERG_ABELIANIZE, heisenberg(), zpower(2))
+    return Homomorphism("HeisenbergAbelianize", heisenberg(), zpower(2),
+                        lambda p: p[:2])
 
 
 def apply_homomorphism(h: Homomorphism, g: GroupElement) -> GroupElement:
     if g.descriptor != h.source:
         raise DescriptorMismatchError(f"element of {g.descriptor}, expected {h.source}")
-    if h.kind == ABELIANIZE:
-        coords = [0] * h.source.rank
-        for s in g.payload:
-            coords[abs(s) - 1] += 1 if s > 0 else -1
-        return GroupElement(h.target, tuple(coords))
-    if h.kind == MOD_M:
-        return GroupElement(h.target, g.payload[0] % h.target.modulus)
-    if h.kind == POS:
-        return GroupElement(h.target, (g.payload[0],))
-    if h.kind == HEISENBERG_ABELIANIZE:
-        a, b, _ = g.payload
-        return GroupElement(h.target, (a, b))
-    raise ValueError(f"unknown homomorphism kind {h.kind!r}")
+    return GroupElement(h.target, h.map_payload(g.payload))
 
 
 # ---------------------------------------------------------------------------
 # Text format
 
 def format_element(a: GroupElement) -> str:
-    """Canonical text form, also the canonical sort key.
-
-    ZPower ``(3,-4)``; Free ``x1 x2 X1`` with uppercase for inverse letters
-    and ``e`` for the empty word; Heisenberg ``H(a,b,c)``; LamplighterZ
-    ``L(x;{s1,s2})``; CyclicZ ``r mod m``.
-    """
-    kind = a.descriptor.kind
-    if kind == ZPOWER:
-        return "(" + ",".join(str(x) for x in a.payload) + ")"
-    if kind == FREE:
-        if not a.payload:
-            return "e"
-        return " ".join(f"x{s}" if s > 0 else f"X{-s}" for s in a.payload)
-    if kind == HEISENBERG:
-        return "H({},{},{})".format(*a.payload)
-    if kind == LAMPLIGHTER:
-        x, f = a.payload
-        return "L({};{{{}}})".format(x, ",".join(str(s) for s in f))
-    return f"{a.payload} mod {a.descriptor.modulus}"
+    """Canonical text form, also the canonical sort key: ``(3,-4)``, ``x1 x2 X1``
+    (uppercase for inverse letters, ``e`` for the empty word), ``H(a,b,c)``,
+    ``L(x;{s1,s2})`` and ``r mod m``."""
+    return a.descriptor.format(a.payload)
 
 
 def parse_element(descriptor: GroupDescriptor, text: str) -> GroupElement:
     """Inverse of format_element for the given group."""
-    s = text.strip()
-    kind = descriptor.kind
     try:
-        if kind == ZPOWER:
-            if not (s.startswith("(") and s.endswith(")")):
-                raise ValueError("expected (c1,...,cd)")
-            inner = s[1:-1]
-            coords = [int(t) for t in inner.split(",")] if inner else []
-            return make_element(descriptor, coords)
-        if kind == FREE:
-            if s == "e":
-                return identity(descriptor)
-            letters = []
-            for tok in s.split():
-                if tok[0] == "x":
-                    letters.append(int(tok[1:]))
-                elif tok[0] == "X":
-                    letters.append(-int(tok[1:]))
-                else:
-                    raise ValueError(f"bad letter token {tok!r}")
-            word = tuple(letters)
-            if word != reduce_word(word, descriptor.rank):
-                raise ValueError("word is not reduced")
-            return GroupElement(descriptor, word)
-        if kind == HEISENBERG:
-            if not (s.startswith("H(") and s.endswith(")")):
-                raise ValueError("expected H(a,b,c)")
-            a, b, c = (int(t) for t in s[2:-1].split(","))
-            return GroupElement(descriptor, (a, b, c))
-        if kind == LAMPLIGHTER:
-            if not (s.startswith("L(") and s.endswith("})")):
-                raise ValueError("expected L(x;{s1,...})")
-            inner = s[2:-1]
-            pos_part, lamp_part = inner.split(";", 1)
-            if not (lamp_part.startswith("{") and lamp_part.endswith("}")):
-                raise ValueError("expected lamp support in braces")
-            body = lamp_part[1:-1]
-            lamps = [int(t) for t in body.split(",")] if body else []
-            if lamps != sorted(set(lamps)):
-                raise ValueError("lamp support must be sorted and duplicate-free")
-            return make_element(descriptor, (int(pos_part), lamps))
-        # cyclic
-        value, mod_kw, modulus = s.split()
-        if mod_kw != "mod" or int(modulus) != descriptor.modulus:
-            raise ValueError("expected 'r mod m'")
-        r = int(value)
-        if not 0 <= r < descriptor.modulus:
-            raise ValueError("residue out of range")
-        return GroupElement(descriptor, r)
+        return GroupElement(descriptor, descriptor.parse(text.strip()))
     except (ValueError, IndexError) as exc:
         raise ValueError(f"cannot parse {text!r} as {descriptor} element: {exc}") from None
 
 
-def canonical_key(a: GroupElement) -> str:
-    return format_element(a)
-
-
-def sorted_elements(elements: Iterable[GroupElement]) -> list[GroupElement]:
-    return sorted(elements, key=canonical_key)
-
-
-def iter_products(elements: Iterable[GroupElement]) -> Iterator[GroupElement]:
-    """Left-to-right running products, X_n = z_1 ... z_n."""
-    acc = None
-    for z in elements:
-        acc = z if acc is None else multiply(acc, z)
-        yield acc
+#: The canonical element order is the order of the text form.
+canonical_key = format_element

@@ -16,7 +16,6 @@ from .groups import (
     invert,
     make_element,
     multiply,
-    sorted_elements,
     standard_generators,
     word_length_within,
     zpower,
@@ -160,16 +159,19 @@ def validate_symmetric(measure: SymmetricMeasure,
     radius, exploring products up to a slack radius. A False here means
     "not covered within the budget", not a proof of non-generation.
     """
-    offending = None
+    offending = first_asymmetric_atom(measure)
+    covered, missing = _support_covers_ball(measure, ball_radius)
+    return MeasureValidation(offending is None, offending, ball_radius,
+                             covered, missing)
+
+
+def first_asymmetric_atom(measure: SymmetricMeasure) -> GroupElement | None:
+    """The first atom g, in canonical order, with mu(g) != mu(g^-1), or None."""
     weights = measure.weight_by_element
     for g, w in measure.atoms:
         if weights.get(invert(g)) != w:
-            offending = g
-            break
-    symmetric = offending is None
-
-    covered, missing = _support_covers_ball(measure, ball_radius)
-    return MeasureValidation(symmetric, offending, ball_radius, covered, missing)
+            return g
+    return None
 
 
 def _support_covers_ball(measure: SymmetricMeasure, radius: int):
@@ -181,8 +183,7 @@ def _support_covers_ball(measure: SymmetricMeasure, radius: int):
         if n is None:
             n = DEFAULT_WORD_LENGTH_CAP
         max_len = max(max_len, n)
-    slack = min(radius + 2 * max_len, DEFAULT_WORD_LENGTH_CAP) \
-        if desc.kind in ("Heisenberg", "LamplighterZ") else radius + 2 * max_len
+    slack = min(radius + 2 * max_len, desc.length_cap)
     target = set(ball_elements(desc, radius))
     reached = set(support)
     frontier = list(support)
@@ -195,7 +196,7 @@ def _support_covers_ball(measure: SymmetricMeasure, radius: int):
             if h not in reached and word_length_within(h, slack) is not None:
                 reached.add(h)
                 frontier.append(h)
-    missing = sorted_elements(target - reached)
+    missing = sorted(target - reached, key=canonical_key)
     if missing:
         return False, missing[0]
     return True, None

@@ -18,12 +18,11 @@ from .groups import (
     GroupDescriptor,
     GroupElement,
     format_element,
-    invert,
     multiply,
     parse_descriptor,
     parse_element,
 )
-from .measures import SymmetricMeasure
+from .measures import SymmetricMeasure, first_asymmetric_atom
 
 
 @dataclass(frozen=True)
@@ -61,32 +60,22 @@ def sample_atom_indices(measure: SymmetricMeasure, n_steps: int,
     return np.searchsorted(thresholds, draws, side="right").astype(np.int64)
 
 
-def check_symmetric_weights(measure: SymmetricMeasure) -> None:
-    weights = measure.weight_by_element
-    for g, w in measure.atoms:
-        if weights.get(invert(g)) != w:
-            raise ValueError(
-                f"measure is not symmetric at atom {format_element(g)}")
-
-
 def generate_walk(measure: SymmetricMeasure, n_steps: int,
                   seed: int) -> WalkTrace:
     """Generate the trace X_n = z_1 ... z_n of length n_steps."""
-    check_symmetric_weights(measure)
-    indices = sample_atom_indices(measure, n_steps, seed)
+    offending = first_asymmetric_atom(measure)
+    if offending is not None:
+        raise ValueError(
+            f"measure is not symmetric at atom {format_element(offending)}")
     support = measure.support
-    increments = tuple(support[i] for i in indices)
-    positions = []
-    acc = None
-    for z in increments:
-        acc = z if acc is None else multiply(acc, z)
-        positions.append(acc)
-    return WalkTrace(measure.descriptor, seed, increments, tuple(positions))
+    return trace_from_increments(
+        measure.descriptor, seed,
+        [support[i] for i in sample_atom_indices(measure, n_steps, seed)])
 
 
 def trace_from_increments(descriptor: GroupDescriptor, seed: int,
                           increments) -> WalkTrace:
-    """Rebuild a trace from explicit increments (tests, file replay)."""
+    """The trace whose increments are given, with their running products."""
     increments = tuple(increments)
     positions = []
     acc = None

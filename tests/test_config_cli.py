@@ -305,6 +305,13 @@ y = -2
     assert "combination_value: -3" in printed
 
 
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parents[1] / "configs").glob("*.cfg")),
+    ids=lambda p: p.name)
+def test_experiment_configs_load(path):
+    assert load_config(str(path)).seeds
+
+
 def test_threads_env_fallback(monkeypatch):
     from algrec.experiments import resolve_threads
     monkeypatch.delenv("ALGREC_THREADS", raising=False)
