@@ -431,3 +431,44 @@ def test_cli_outputs_match_golden_digests(tmp_path, group):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
                for p in sorted(out.iterdir()) if p.name != "manifest.json"}
     assert digests == GOLDEN_DIGESTS[group]
+
+
+#: Vector files covering every branch of `lattice-classify`, with the sha256
+#: prefix of the `lattice_report.txt` each one writes.
+GOLDEN_LATTICE = {
+    "full_hull": ("1 0\n0 1\n-1 -1\n", "9ae75499b28d70cd"),
+    "full_dupes_zero": ("1 0\n1 0\n0 0\n0 1\n-1 -1\n2 -3\n", "9ae75499b28d70cd"),
+    "full_cert_6_11_7": ("3 1\n-1 2\n-1 -4\n5 5\n", "e6bdf542181570f2"),
+    "z1_cert_3_2": ("2\n-3\n", "44dad99d5069f844"),
+    "index4": ("2 0\n0 2\n-2 -2\n", "5a4eff27cb5c518c"),
+    "line": ("1 1\n-1 -1\n2 2\n", "4e7c68f04a93033e"),
+    "quadrant": ("1 0\n0 1\n", "e79b5e761b8307ca"),
+    "upper_half_plane": ("1 0\n-1 0\n0 1\n", "ca614da9e02457a9"),
+    "lifted_normal": ("1 2 3\n2 1 0\n", "fdfab910b93a7256"),
+    "lifted_normal_three": ("1 2 3\n2 1 0\n-1 1 3\n", "7db4ab6d4a707558"),
+    "zeros": ("0 0\n0 0\n", "f94a68c6b3089692"),
+    "z3_full": ("1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n2 -1 0\n", "ee7e9eaea730385d"),
+    "z3_plane": ("1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n", "fa757ea2ec08c9aa"),
+    "z4_index3": ("2 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 3\n-2 -1 -1 -3\n1 1 -1 0\n",
+                  "cbe8300b9329c383"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LATTICE))
+def test_lattice_report_matches_golden_digest(tmp_path, name):
+    text, digest = GOLDEN_LATTICE[name]
+    vecs = tmp_path / "vecs.txt"
+    vecs.write_text(text)
+    out = tmp_path / "out"
+    assert main(["lattice-classify", str(vecs), "--out", str(out)]) == 0
+    report = (out / "lattice_report.txt").read_bytes()
+    assert hashlib.sha256(report).hexdigest()[:16] == digest
+
+
+def test_nilpotent_check_matches_golden_digest(tmp_path):
+    cfg = write_config(tmp_path, "[nilpotent]\nk_min = -2\nk_max = 2\n"
+                                 "n_max = 3\nm_max = 2\n")
+    out = tmp_path / "out"
+    assert main(["nilpotent-check", "--config", cfg, "--out", str(out)]) == 0
+    data = (out / "nilpotent_check.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == "4fa0e73ab3c79b33"
