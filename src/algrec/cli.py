@@ -12,7 +12,6 @@ mandatory result.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from fractions import Fraction
@@ -36,28 +35,18 @@ from .config import (
 )
 from .groups import format_element, parse_descriptor, parse_element
 from .identities import (
-    nilpotent_identity_check,
+    nilpotent_identity_grid,
     torsion_inverse_witness,
     z_inverse_witness,
 )
-from .lattice import classify_subsemigroup, zero_in_convex_hull, ZeroInHullWitness
-from .manifest import RunManifest
+from .lattice import classify_subsemigroup
+from .manifest import RunManifest, write_csv
 from .measures import first_asymmetric_atom
 from .walks import generate_walk, write_positions_csv, write_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_RESULT = 3
-
-
-def write_csv(path: Path, meta: dict, header: list[str], rows) -> None:
-    """CSV with '#'-prefixed metadata lines, then one header row."""
-    with open(path, "w", newline="") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _prepare(args) -> tuple[ScenarioConfig, dict, Path, int]:
@@ -185,14 +174,14 @@ def cmd_lattice_classify(args) -> int:
     if not vectors:
         raise ConfigError("vectors", f"{path} contains no vectors")
     classification = classify_subsemigroup(vectors)
-    witness = zero_in_convex_hull(vectors) if any(any(v) for v in vectors) else None
+    witness = classification.hull_witness
     lines = [f"classification: {classification}"]
     if classification.report is not None:
         report = classification.report
         lines.append(f"rank: {report.rank}")
         lines.append("smith_diagonal: " + ",".join(str(x) for x in report.smith_diagonal))
         lines.append(f"index: {'Infinite' if report.index is None else report.index}")
-    if isinstance(witness, ZeroInHullWitness):
+    if witness is not None:
         pts = "; ".join("(" + ",".join(str(x) for x in p) + ")" for p in witness.points)
         lines.append(f"hull_certificate_points: {pts}")
         lines.append("hull_certificate_coefficients: "
@@ -282,29 +271,18 @@ def cmd_free_stats(args) -> int:
 
 def cmd_nilpotent_check(args) -> int:
     config, meta, out_dir, _ = _prepare(args)
-    ks = range(config.k_min, config.k_max + 1)
-    rows = []
-    all_hold = True
-    for k1 in ks:
-        for k2 in ks:
-            for k3 in ks:
-                for k4 in ks:
-                    for n in range(1, config.n_max + 1):
-                        for m in range(1, config.m_max + 1):
-                            res = nilpotent_identity_check(k1, k2, k3, k4, n, m)
-                            all_hold &= res.holds
-                            rows.append([k1, k2, k3, k4, n, m,
-                                         res.exponent_pos, res.exponent_neg,
-                                         res.holds])
+    grid = nilpotent_identity_grid(range(config.k_min, config.k_max + 1),
+                                   range(1, config.n_max + 1),
+                                   range(1, config.m_max + 1))
     path = out_dir / "nilpotent_check.csv"
     write_csv(path, meta,
               ["k1", "k2", "k3", "k4", "n", "m", "exponent_pos",
-               "exponent_neg", "holds"], rows)
+               "exponent_neg", "holds"], grid.rows)
     manifest = RunManifest("nilpotent-check", meta["config"], ())
     manifest.add_file(path)
     manifest.write(out_dir)
-    print(f"nilpotent-check: {len(rows)} cases, all hold: {all_hold}")
-    return EXIT_OK if all_hold else EXIT_NO_RESULT
+    print(f"nilpotent-check: {grid.cases} cases, all hold: {grid.all_hold}")
+    return EXIT_OK if grid.all_hold else EXIT_NO_RESULT
 
 
 def cmd_witness_check(args) -> int:

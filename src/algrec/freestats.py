@@ -160,7 +160,8 @@ def return_probability(d: int) -> Fraction:
     two_d = 2 * d
     p = Fraction(two_d, two_d ** 2 - two_d + 1)
     lhs = Fraction(1, two_d) + Fraction(1, two_d) * Fraction(two_d - 1, two_d) * p
-    assert lhs == p, "closed form does not solve the fixed-point equation"
+    if lhs != p:
+        raise ArithmeticError("closed form does not solve the fixed-point equation")
     return p
 
 
@@ -192,15 +193,6 @@ class ReflectedWalkStats:
         if not levels:
             return 0.0
         return sum(self.visits.get(j, 0) for j in levels) / len(levels)
-
-    @property
-    def return_frequency(self) -> float:
-        """Pooled fraction of arrivals that are followed by a re-arrival."""
-        counts = [self.visits[j] for j in self.complete_levels]
-        total = sum(counts)
-        if total == 0:
-            return 0.0
-        return (total - len(counts)) / total
 
     @property
     def fitted_geometric_p(self) -> float:
@@ -312,10 +304,6 @@ class ExceedanceRow:
     @property
     def empirical(self) -> float:
         return self.exceed_count / self.trials
-
-    @property
-    def log_length(self) -> float:
-        return math.log2(self.length)
 
     def bound(self, d: int) -> float:
         return cancellation_bound(d, self.length)

@@ -63,14 +63,25 @@ def nilpotent_identity_check(k1: int, k2: int, k3: int, k4: int,
     return NilpotentIdentityResult(pos, neg, n * m + ell, -n * m + ell)
 
 
+#: (k1, k2, k3, k4, n, m, exponent_pos, exponent_neg, holds)
+GridRow = tuple[int, int, int, int, int, int, int, int, bool]
+
+
 @dataclass(frozen=True)
 class NilpotentGridResult:
-    cases: int
-    failures: tuple[tuple[int, int, int, int, int, int], ...]
+    rows: tuple[GridRow, ...]
+
+    @property
+    def cases(self) -> int:
+        return len(self.rows)
+
+    @property
+    def failures(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
+        return tuple(row[:6] for row in self.rows if not row[8])
 
     @property
     def all_hold(self) -> bool:
-        return not self.failures
+        return all(row[8] for row in self.rows)
 
 
 def nilpotent_identity_grid(k_values: Iterable[int],
@@ -80,7 +91,8 @@ def nilpotent_identity_grid(k_values: Iterable[int],
 
     Same group law as nilpotent_identity_check, evaluated on raw integer
     triples with powers shared across the grid so that large grids finish
-    in well under a second.
+    in well under a second. One row per case, in (k1, k2, k3, k4, n, m)
+    order.
     """
 
     def mul(p, q):
@@ -100,8 +112,7 @@ def nilpotent_identity_grid(k_values: Iterable[int],
     if any(n < 1 for n in ns) or any(m < 1 for m in ms):
         raise ValueError("n and m must be positive")
     n_max, m_max = max(ns), max(ms)
-    failures: list[tuple[int, int, int, int, int, int]] = []
-    cases = 0
+    rows: list[GridRow] = []
     for k1 in ks:
         for k2 in ks:
             for k3 in ks:
@@ -114,16 +125,14 @@ def nilpotent_identity_grid(k_values: Iterable[int],
                     for n in ns:
                         cn, en = cpow[n], epow[n]
                         for m in ms:
-                            cases += 1
                             ell = kn * n + km * m
                             p = mul(mul(cn, dpow[m]), mul(en, fpow[m]))
                             q = mul(mul(dpow[m], cn), mul(fpow[m], en))
                             ok = (p[0] == 0 and p[1] == 0 and p[2] == n * m + ell
                                   and q[0] == 0 and q[1] == 0
                                   and q[2] == -n * m + ell)
-                            if not ok:
-                                failures.append((k1, k2, k3, k4, n, m))
-    return NilpotentGridResult(cases, tuple(failures))
+                            rows.append((k1, k2, k3, k4, n, m, p[2], q[2], ok))
+    return NilpotentGridResult(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -188,5 +197,6 @@ def z_inverse_witness(x: int, y: int) -> ZInverseCertificate:
         if y <= 0:
             raise ValueError("x < 0 requires y > 0")
         cert = ZInverseCertificate(x, y, y_copies=-x, x_copies=y - 1)
-    assert cert.holds
+    if not cert.holds:
+        raise ArithmeticError("certificate does not sum to -x")
     return cert

@@ -192,88 +192,77 @@ def subgroup_index(vectors: Sequence[Sequence[int]]) -> LatticeBasisReport:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra helpers (Fractions)
+# Exact linear algebra: fraction-free integer elimination
 
-def _row_reduce(rows: list[list[Fraction]]) -> int:
-    """In-place reduced echelon form; returns the rank."""
-    if not rows:
-        return 0
-    n, width = len(rows), len(rows[0])
-    rank = 0
+def _echelon(rows: list[list[int]], width: int) -> list[int]:
+    """Fraction-free Gauss-Jordan on the first `width` columns, in place.
+
+    Afterwards row r has a nonzero pivot in column pivots[r] and zeros in
+    every other pivot column, and each row that was updated is divided by
+    the gcd of its entries. Returns the pivot columns.
+    """
+    pivots: list[int] = []
     for col in range(width):
-        pivot = next((i for i in range(rank, n) if rows[i][col]), None)
-        if pivot is None:
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if found is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for i in range(n):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == n:
+        rows[r], rows[found] = rows[found], rows[r]
+        pivot_row = rows[r]
+        a = pivot_row[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                row = [a * x - f * y for x, y in zip(row, pivot_row)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    return rank
+    return pivots
 
 
 def _rank(vectors: Sequence[Vec]) -> int:
-    return _row_reduce([[Fraction(x) for x in v] for v in vectors])
+    return len(_echelon([list(v) for v in vectors], len(vectors[0])))
+
+
+def _column_echelon(vecs: Sequence[Vec]) -> tuple[list[list[int]], list[int]]:
+    """Echelon rows of the matrix whose columns are vecs, and its pivots.
+
+    The pivot columns index the first independent vectors in input order.
+    """
+    rows = [list(col) for col in zip(*vecs)]
+    return rows, _echelon(rows, len(vecs))
+
+
+def _clear_denominators(pairs: Sequence[tuple[int, int]]) -> Vec:
+    """The quotients p/q of the (p, q) pairs times their least common denominator."""
+    lcm = math.lcm(*[abs(q) // math.gcd(p, q) for p, q in pairs])
+    return tuple(p * lcm // q for p, q in pairs)
 
 
 def _kernel_vector(vectors: Sequence[Vec], d: int) -> Vec | None:
     """Some nonzero integer vector orthogonal to all inputs, if one exists."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = _row_reduce(rows)
-    if rank >= d:
+    rows = [list(v) for v in vectors]
+    pivots = _echelon(rows, d)
+    if len(pivots) == d:
         return None
-    pivots = []
-    for r in range(rank):
-        pivots.append(next(j for j in range(d) if rows[r][j]))
     free = next(j for j in range(d) if j not in pivots)
-    sol = [Fraction(0)] * d
-    sol[free] = Fraction(1)
+    scale = math.lcm(*[rows[r][p] for r, p in enumerate(pivots)])
+    sol = [0] * d
+    sol[free] = scale
     for r, p in enumerate(pivots):
-        sol[p] = -rows[r][free]
-    denom = math.lcm(*[f.denominator for f in sol])
-    return _primitive(tuple(int(f * denom) for f in sol))
+        sol[p] = -rows[r][free] * scale // rows[r][p]
+    return _primitive(tuple(sol))
 
 
-def _solve_unique(basis: Sequence[Sequence[Fraction | int]],
-                  target: Sequence[Fraction | int]) -> list[Fraction] | None:
+def _solve_unique(basis: Sequence[Vec], target: Vec) -> list[Fraction] | None:
     """Unique exact solution of sum t_i b_i = target, else None."""
-    d = len(target)
     k = len(basis)
-    rows = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])]
-            for i in range(d)]
-    n = len(rows)
-    rank = 0
-    where = [-1] * k
-    for col in range(k):
-        pivot = next((i for i in range(rank, n) if rows[i][col]), None)
-        if pivot is None:
-            return None  # dependent set
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for i in range(n):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        where[col] = rank
-        rank += 1
-    for i in range(rank, n):
-        if rows[i][k]:
-            return None  # inconsistent
-    return [rows[where[c]][k] for c in range(k)]
-
-
-def _solve_nonneg(basis: Sequence[Vec], target: Vec) -> list[Fraction] | None:
-    """Solve sum t_i b_i = target exactly; None unless unique and all t >= 0."""
-    sol = _solve_unique(basis, target)
-    if sol is None or any(t < 0 for t in sol):
+    rows = [[b[i] for b in basis] + [x] for i, x in enumerate(target)]
+    if len(_echelon(rows, k)) < k or any(row[k] for row in rows[k:]):
         return None
-    return sol
+    return [Fraction(rows[c][k], rows[c][c]) for c in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,70 +327,60 @@ def zero_in_convex_hull(vectors: Sequence[Sequence[int]]) -> ConeWitness:
     """
     vecs = _as_vectors(vectors)
     d = len(vecs[0])
-    nonzero = []
-    seen = set()
-    for v in vecs:
-        if any(v) and v not in seen:
-            seen.add(v)
-            nonzero.append(v)
+    nonzero = [v for v in dict.fromkeys(vecs) if any(v)]
     if not nonzero:
         return HalfSpaceWitness(tuple([1] + [0] * (d - 1)))
-    if _rank(nonzero) < d:
-        kernel = _kernel_vector(nonzero, d)
-        assert kernel is not None
+    kernel = _kernel_vector(nonzero, d)
+    if kernel is not None:
         return HalfSpaceWitness(kernel)
     valid = [n for n in _separator_candidates(nonzero, d)
              if all(_dot(n, v) >= 0 for v in nonzero)]
     if valid:
-        valid.sort()
-        total = tuple(sum(col) for col in zip(*valid))
-        if any(total) and all(_dot(total, v) >= 0 for v in nonzero):
-            return HalfSpaceWitness(_primitive(total))
-        return HalfSpaceWitness(valid[0])
+        # The set spans, so its dual cone is pointed: the sum of the valid
+        # normals is nonzero, and it is valid because each summand is.
+        return HalfSpaceWitness(_primitive(tuple(map(sum, zip(*valid)))))
     return _positive_certificate(nonzero, d)
 
 
 def _positive_certificate(vecs: list[Vec], d: int) -> ZeroInHullWitness:
-    base_idx: list[int] = []
-    for i, v in enumerate(vecs):
-        if _rank([vecs[j] for j in base_idx] + [v]) > len(base_idx):
-            base_idx.append(i)
-        if len(base_idx) == d:
-            break
-    assert len(base_idx) == d
+    base_idx = _column_echelon(vecs)[1]
+    if len(base_idx) != d:
+        raise ArithmeticError("vectors do not span the space")
     target = tuple(-sum(vecs[i][c] for i in base_idx) for c in range(d))
     coeffs: dict[int, Fraction] = {i: Fraction(1) for i in base_idx}
     if any(target):
         found = None
         for size in range(1, d + 1):
             for subset in itertools.combinations(range(len(vecs)), size):
-                sol = _solve_nonneg([vecs[i] for i in subset], target)
-                if sol is not None:
+                sol = _solve_unique([vecs[i] for i in subset], target)
+                if sol is not None and all(t >= 0 for t in sol):
                     found = (subset, sol)
                     break
             if found:
                 break
-        assert found is not None, "origin interior but no conic combination found"
+        if found is None:
+            raise ArithmeticError(
+                "origin interior but no conic combination found")
         for i, t in zip(*found):
             if t:
                 coeffs[i] = coeffs.get(i, Fraction(0)) + t
     indices = sorted(coeffs)
     denom = math.lcm(*[coeffs[i].denominator for i in indices])
-    ints = [int(coeffs[i] * denom) for i in indices]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    witness = ZeroInHullWitness(tuple(vecs[i] for i in indices), tuple(ints))
+    ints = _primitive(tuple(int(coeffs[i] * denom) for i in indices))
+    witness = ZeroInHullWitness(tuple(vecs[i] for i in indices), ints)
     _verify_certificate(witness, d)
     return witness
 
 
 def _verify_certificate(witness: ZeroInHullWitness, d: int) -> None:
-    assert all(t > 0 for t in witness.coefficients)
+    if not all(t > 0 for t in witness.coefficients):
+        raise ArithmeticError("certificate has a nonpositive coefficient")
     combo = [sum(t * p[c] for t, p in zip(witness.coefficients, witness.points))
              for c in range(d)]
-    assert not any(combo), "certificate does not sum to zero"
-    assert _rank(list(witness.points)) == d, "certificate does not span"
+    if any(combo):
+        raise ArithmeticError("certificate does not sum to zero")
+    if _rank(witness.points) != d:
+        raise ArithmeticError("certificate does not span")
 
 
 # ---------------------------------------------------------------------------
@@ -439,33 +418,24 @@ def _span_coordinates(vecs: list[Vec]) -> tuple[list[Vec], list[Vec]] | None:
     integer, which preserves both half-space trapping and the existence of
     positive combinations summing to zero.
     """
-    d = len(vecs[0])
-    basis: list[Vec] = []
-    for v in vecs:
-        if _rank(basis + [v]) > len(basis):
-            basis.append(v)
-    r = len(basis)
-    if r == d:
+    rows, pivots = _column_echelon(vecs)
+    if len(pivots) == len(rows):
         return None
-    coords = []
-    for v in vecs:
-        sol = _solve_unique(basis, v)
-        assert sol is not None
-        denom = math.lcm(*[f.denominator for f in sol])
-        coords.append(tuple(int(f * denom) for f in sol))
-    return basis, coords
+    coords = [_clear_denominators([(row[j], row[p])
+                                   for row, p in zip(rows, pivots)])
+              for j in range(len(vecs))]
+    return [vecs[p] for p in pivots], coords
 
 
 def _lift_normal(basis: list[Vec], span_normal: Vec) -> Vec:
     """Ambient normal whose inner products match a normal in span coordinates."""
-    r, d = len(basis), len(basis[0])
-    gram = [[_dot(basis[i], basis[j]) for j in range(r)] for i in range(r)]
-    c = _solve_unique([tuple(gram[i][j] for i in range(r)) for j in range(r)],
-                      span_normal)
-    assert c is not None
-    lifted = [sum(c[k] * basis[k][i] for k in range(r)) for i in range(d)]
-    denom = math.lcm(*[f.denominator for f in lifted])
-    return _primitive(tuple(int(f * denom) for f in lifted))
+    gram = [tuple(_dot(a, b) for b in basis) for a in basis]
+    c = _solve_unique(gram, span_normal)
+    if c is None:
+        raise ArithmeticError("Gram matrix of a basis is singular")
+    denom = math.lcm(*[t.denominator for t in c])
+    ints = [int(t * denom) for t in c]
+    return _primitive(tuple(_dot(ints, col) for col in zip(*basis)))
 
 
 def classify_subsemigroup(
@@ -503,7 +473,8 @@ def classify_subsemigroup(
     witness = zero_in_convex_hull(coords)
     if isinstance(witness, HalfSpaceWitness):
         normal = _lift_normal(basis, witness.normal)
-        assert all(_dot(normal, v) >= 0 for v in nonzero)
+        if not all(_dot(normal, v) >= 0 for v in nonzero):
+            raise ArithmeticError("lifted normal does not bound the vectors")
         return SubsemigroupClassification(IN_HALF_SPACE, normal=normal)
     report = subgroup_index(vecs)
     return SubsemigroupClassification(IN_PROPER_SUBGROUP, rank=report.rank,

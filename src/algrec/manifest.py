@@ -1,7 +1,9 @@
-"""Run manifests: what a command wrote, under which config hash."""
+"""Run manifests: what a command wrote, under which config hash, and the
+'#'-metadata CSV writer the commands share."""
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,3 +41,13 @@ class RunManifest:
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
+
+
+def write_csv(path: str | Path, meta: dict, header: list[str], rows) -> None:
+    """CSV with sorted '#'-prefixed metadata lines, then one header row."""
+    with open(path, "w", newline="") as fh:
+        for key in sorted(meta):
+            fh.write(f"# {key}={meta[key]}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -8,7 +8,6 @@ multiplies the resulting increments left to right. Identical
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .groups import (
     parse_descriptor,
     parse_element,
 )
+from .manifest import write_csv
 from .measures import SymmetricMeasure, first_asymmetric_atom
 
 
@@ -122,16 +122,9 @@ def write_positions_csv(trace: WalkTrace, path: str | Path,
                         meta: dict | None = None) -> None:
     """Plot-ready CSV of positions; ZPower traces also get coordinate columns."""
     is_lattice = trace.descriptor.kind == "ZPower"
-    with open(path, "w", newline="") as fh:
-        for key in sorted(meta or {}):
-            fh.write(f"# {key}={meta[key]}\n")
-        writer = csv.writer(fh)
-        header = ["step", "position"]
-        if is_lattice:
-            header += [f"c{i+1}" for i in range(trace.descriptor.rank)]
-        writer.writerow(header)
-        for n, x in enumerate(trace.positions, start=1):
-            row = [n, format_element(x)]
-            if is_lattice:
-                row += list(x.payload)
-            writer.writerow(row)
+    header = ["step", "position"]
+    if is_lattice:
+        header += [f"c{i+1}" for i in range(trace.descriptor.rank)]
+    rows = ((n, format_element(x), *(x.payload if is_lattice else ()))
+            for n, x in enumerate(trace.positions, start=1))
+    write_csv(path, meta or {}, header, rows)

@@ -28,10 +28,13 @@ def test_nilpotent_identity_derived_case():
 def test_grid_agrees_with_pointwise():
     grid = nilpotent_identity_grid(range(-2, 3), range(1, 4), range(1, 4))
     assert grid.cases == 5 ** 4 * 9
-    assert grid.all_hold
-    # spot-check the batched arithmetic against the element-level routine
-    for case in [(-2, 1, 0, 2, 3, 2), (2, -2, 2, -2, 1, 3)]:
-        assert nilpotent_identity_check(*case).holds
+    assert grid.all_hold and grid.failures == ()
+    cases = [row[:6] for row in grid.rows]
+    assert cases == sorted(cases)
+    # every row of the batched arithmetic against the element-level routine
+    for row in grid.rows:
+        res = nilpotent_identity_check(*row[:6])
+        assert row[6:] == (res.exponent_pos, res.exponent_neg, res.holds)
 
 
 @settings(max_examples=60, deadline=None)

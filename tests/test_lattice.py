@@ -9,6 +9,7 @@ from algrec.lattice import (
     IN_PROPER_SUBGROUP,
     HalfSpaceWitness,
     ZeroInHullWitness,
+    _verify_certificate,
     classify_subsemigroup,
     integer_determinant,
     smith_normal_form,
@@ -68,6 +69,19 @@ def test_snf_random_matrices(n, d, seed):
     check_snf(rows)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+    min_size=1, max_size=4)))
+def test_snf_diagonal_matches_sympy(rows):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    expected = sympy_snf(Matrix(rows), domain=ZZ)
+    k = min(len(rows), len(rows[0]))
+    assert smith_normal_form(rows).diagonal == tuple(
+        abs(expected[i, i]) for i in range(k))
+
+
 def test_determinant_matches_numpy_on_small_ints():
     rng = random.Random(7)
     import numpy as np
@@ -111,6 +125,12 @@ def test_hull_cross_needs_four_points():
     witness = zero_in_convex_hull([(1, 0), (-1, 0), (0, 1), (0, -1)])
     assert isinstance(witness, ZeroInHullWitness)
     assert len(witness.points) == 4
+
+
+def test_certificate_check_raises_on_a_set_that_does_not_span():
+    witness = ZeroInHullWitness(((1, 0), (-1, 0)), (1, 1))
+    with pytest.raises(ArithmeticError, match="does not span"):
+        _verify_certificate(witness, 2)
 
 
 def test_hull_empty_rejected():
