@@ -6,21 +6,41 @@ retained while their word length stays within the budget radius. At
 exhaustion the element set is therefore closed under products of any two
 members that land inside the radius, which subsumes closure under the
 generators themselves.
+
+``closure`` runs one of two engines, chosen by the size of the radius ball:
+
+- the ball table, for balls of at most ``_TABLE_MAX_BALL`` elements. Once
+  per group and radius, the ball is enumerated in canonical order and its
+  product table on integer indices (-1 where a product leaves the ball) is
+  built with its transpose and cached for the process. The engine then
+  saturates on indices without building, hashing or measuring an element;
+- the worklist on group elements, for larger balls. It keeps its partners
+  sorted with their text keys computed once per element.
+
+Both engines run the same steps: seed with the distinct in-ball generators in
+canonical order, pop FIFO, pair the popped x with a snapshot of the members
+in canonical order, try x*y then y*x for each partner y, counting every
+product, and check the budgets before each pop and after each partner. The
+table engine is an exact replay of the worklist, so elements, ``exhausted``
+and ``products_performed`` agree between them for truncated runs too.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .groups import (
     GroupDescriptor,
     GroupElement,
+    ball_elements,
     ball_size,
     canonical_key,
     format_element,
@@ -29,6 +49,10 @@ from .groups import (
     word_length_within,
 )
 from .walks import WalkTrace
+
+#: Largest ball, in elements, whose product table the closure builds; a
+#: table of n elements holds 2n^2 indices.
+_TABLE_MAX_BALL = 512
 
 
 class Membership(enum.Enum):
@@ -87,10 +111,23 @@ def closure(generators: Sequence[GroupElement],
         raise ValueError(
             f"radius {budget.radius} exceeds BFS word-length cap "
             f"{desc.length_cap} for {desc}")
-    seed = sorted({g for g in gens
-                   if word_length_within(g, budget.radius) is not None},
+    if ball_size(desc, budget.radius) <= _TABLE_MAX_BALL:
+        elements, exhausted, products = _table_closure(
+            _ball_table(desc, budget.radius), gens, budget)
+    else:
+        elements, exhausted, products = _worklist_closure(gens, budget)
+    return ClosureResult(desc, frozenset(elements), budget.radius,
+                         exhausted, products, generator_range)
+
+
+def _worklist_closure(gens: list[GroupElement], budget: ClosureBudget
+                      ) -> tuple[set[GroupElement], bool, int]:
+    """The closure on group elements, for balls too large to tabulate."""
+    radius = budget.radius
+    seed = sorted({g for g in gens if word_length_within(g, radius) is not None},
                   key=canonical_key)
     elements: set[GroupElement] = set(seed)
+    partners = [(canonical_key(g), g) for g in seed]
     worklist = deque(seed)
     products = 0
     truncated = False
@@ -99,24 +136,94 @@ def closure(generators: Sequence[GroupElement],
             truncated = True
             break
         x = worklist.popleft()
-        partners = sorted(elements, key=canonical_key)
-        for y in partners:
+        for _, y in partners[:]:
             for z in (multiply(x, y), multiply(y, x)):
                 products += 1
                 if z in elements:
                     continue
-                if word_length_within(z, budget.radius) is None:
+                if word_length_within(z, radius) is None:
                     continue
                 elements.add(z)
                 worklist.append(z)
+                insort(partners, (canonical_key(z), z))
             if products >= budget.max_products or len(elements) >= budget.max_elements:
                 truncated = True
                 break
         if truncated:
             break
-    exhausted = not truncated and not worklist
-    return ClosureResult(desc, frozenset(elements), budget.radius,
-                         exhausted, products, generator_range)
+    return elements, not truncated and not worklist, products
+
+
+@dataclass(frozen=True)
+class _BallTable:
+    """ball(r) in canonical order and its product table on indices."""
+
+    elements: list[GroupElement]
+    #: payload -> index into ``elements``
+    index: dict[Any, int]
+    #: rows[i][j] is the index of elements[i] * elements[j], or -1 outside
+    #: the ball; cols[i][j] is that of elements[j] * elements[i].
+    rows: list[tuple[int, ...]]
+    cols: list[tuple[int, ...]]
+
+
+_TABLE_CACHE: dict[tuple[GroupDescriptor, int], _BallTable] = {}
+_TABLE_LOCK = threading.Lock()
+
+
+def _ball_table(desc: GroupDescriptor, radius: int) -> _BallTable:
+    """The cached product table of ball(radius). Reads take no lock; the
+    first finished table for a key is the one every thread keeps."""
+    key = (desc, radius)
+    table = _TABLE_CACHE.get(key)
+    if table is not None:
+        return table
+    elements = ball_elements(desc, radius)
+    payloads = [g.payload for g in elements]
+    index = {p: i for i, p in enumerate(payloads)}
+    mul = desc.mul
+    rows = [tuple(index.get(mul(p, q), -1) for q in payloads) for p in payloads]
+    table = _BallTable(elements, index, rows, list(zip(*rows)))
+    with _TABLE_LOCK:
+        return _TABLE_CACHE.setdefault(key, table)
+
+
+def _table_closure(table: _BallTable, gens: list[GroupElement],
+                   budget: ClosureBudget) -> tuple[list[GroupElement], bool, int]:
+    """The worklist closure replayed on ball indices; same steps, same result."""
+    index = table.index
+    seed = sorted({index[g.payload] for g in gens if g.payload in index})
+    # One slot past the ball, always set: a product outside the ball (-1)
+    # reads as already present.
+    member = bytearray(len(table.elements) + 1)
+    member[-1] = 1
+    for i in seed:
+        member[i] = 1
+    partners = list(seed)
+    worklist = deque(seed)
+    max_elements, max_products = budget.max_elements, budget.max_products
+    products = 0
+    truncated = False
+    while worklist:
+        if len(partners) >= max_elements or products >= max_products:
+            truncated = True
+            break
+        x = worklist.popleft()
+        row, col = table.rows[x], table.cols[x]
+        for y in partners[:]:
+            products += 2
+            for z in (row[y], col[y]):
+                if not member[z]:
+                    member[z] = 1
+                    worklist.append(z)
+                    insort(partners, z)
+            if products >= max_products or len(partners) >= max_elements:
+                truncated = True
+                break
+        if truncated:
+            break
+    return ([table.elements[i] for i in partners],
+            not truncated and not worklist, products)
 
 
 def contains(result: ClosureResult, g: GroupElement) -> Membership:

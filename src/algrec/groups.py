@@ -431,14 +431,15 @@ def ball_distances(descriptor: GroupDescriptor, radius: int) -> dict[GroupElemen
 
     Computed by BFS over the standard generators and cached per descriptor
     and radius. Intended for small radii; the cache is shared across threads.
+    Reads take no lock: a finished dict is inserted once under the lock, and
+    a thread that lost the race to build it adopts the one already there.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     key = (descriptor, radius)
-    with _BALL_LOCK:
-        cached = _BALL_CACHE.get(key)
-        if cached is not None:
-            return cached
+    cached = _BALL_CACHE.get(key)
+    if cached is not None:
+        return cached
     gens = standard_generators(descriptor)
     dist = {identity(descriptor): 0}
     frontier = [identity(descriptor)]
@@ -454,8 +455,7 @@ def ball_distances(descriptor: GroupDescriptor, radius: int) -> dict[GroupElemen
         if not frontier:
             break
     with _BALL_LOCK:
-        _BALL_CACHE[key] = dist
-    return dist
+        return _BALL_CACHE.setdefault(key, dist)
 
 
 def ball_elements(descriptor: GroupDescriptor, radius: int) -> list[GroupElement]:

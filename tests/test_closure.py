@@ -5,8 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from algrec import groups as G
 from algrec.closure import (
+    _TABLE_MAX_BALL,
     ClosureBudget,
     Membership,
+    _ball_table,
+    _table_closure,
+    _worklist_closure,
     brute_force_abelian_closure,
     closure,
     contains,
@@ -156,6 +160,45 @@ def test_closure_determinism():
     b = closure(list(reversed(gens)), ClosureBudget(radius=9))
     assert a.elements == b.elements
     assert a.products_performed == b.products_performed
+
+
+#: Groups with the largest radius checked for each; every ball fits a table.
+TABLE_CASES = [
+    (G.zpower(1), 12), (G.zpower(2), 6), (G.zpower(3), 4),
+    (G.cyclic(5), 3), (G.cyclic(12), 6),
+    (G.free(2), 4), (G.heisenberg(), 5), (G.lamplighter_z(), 6),
+]
+
+
+@pytest.mark.parametrize("cap", [None, "max_elements", "max_products"])
+@pytest.mark.parametrize("descriptor,max_radius", TABLE_CASES, ids=str)
+def test_table_engine_replays_worklist(descriptor, max_radius, cap):
+    """Elements, exhausted and product count agree between the two engines
+    on walk tails, with no cap or with a small cap that stops some runs."""
+    mu = uniform_standard_measure(descriptor)
+    truncated = []
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, max_radius), st.integers(0, 2**16),
+           st.integers(10, 200), st.data())
+    def check(radius, seed, steps, data):
+        assert G.ball_size(descriptor, radius) <= _TABLE_MAX_BALL
+        positions = generate_walk(mu, steps, seed=seed).positions
+        tail = positions[data.draw(st.integers(0, steps // 4)):]
+        caps = {cap: data.draw(st.integers(
+            1, 40 if cap == "max_elements" else 2000))} if cap else {}
+        budget = ClosureBudget(radius, **caps)
+        table = _table_closure(_ball_table(descriptor, radius), tail, budget)
+        work = _worklist_closure(tail, budget)
+        assert table[0] == sorted(work[0], key=G.canonical_key)
+        assert table[1:] == work[1:]
+        result = closure(tail, budget)
+        assert (result.elements, result.exhausted, result.products_performed) \
+            == (frozenset(table[0]), table[1], table[2])
+        truncated.append(not table[1])
+
+    check()
+    assert any(truncated) == (cap is not None)
 
 
 def test_witness_report_torsion_all_present():

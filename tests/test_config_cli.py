@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from algrec import groups as G
+from algrec import closure, groups as G
 from algrec.cli import main
 from algrec.config import (
     ConfigError,
@@ -170,6 +170,20 @@ def test_cli_ar_estimate_deterministic(tmp_path):
     main(["ar-estimate", "--config", cfg, "--out", str(out2), "--threads", "3"])
     assert (out1 / "ar_coverage.csv").read_bytes() == \
         (out2 / "ar_coverage.csv").read_bytes()
+
+
+def test_cli_ar_estimate_deterministic_heisenberg(tmp_path, monkeypatch):
+    """Three threads building the shared ball and ball-table caches from
+    empty write the same bytes as one thread."""
+    monkeypatch.setattr(G, "_BALL_CACHE", {})
+    monkeypatch.setattr(closure, "_TABLE_CACHE", {})
+    cfg = write_config(tmp_path, AR_CFG.replace("CyclicZ(12)", "Heisenberg")
+                       .replace("radius = 6", "radius = 4"))
+    out1, out3 = tmp_path / "x", tmp_path / "y"
+    main(["ar-estimate", "--config", cfg, "--out", str(out3), "--threads", "3"])
+    main(["ar-estimate", "--config", cfg, "--out", str(out1), "--threads", "1"])
+    assert (out1 / "ar_coverage.csv").read_bytes() == \
+        (out3 / "ar_coverage.csv").read_bytes()
 
 
 def test_cli_closure_dump(tmp_path):
