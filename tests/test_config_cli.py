@@ -338,7 +338,7 @@ def test_threads_env_fallback(monkeypatch):
 GOLDEN_CFG = """
 [group]
 kind = {group}
-
+{measure}
 [walk]
 steps = {steps}
 
@@ -355,6 +355,8 @@ GOLDEN_SCENARIOS = {
     "Heisenberg": (60, 4),
     "LamplighterZ": (60, 4),
     "CyclicZ(12)": (60, 4),
+    # Two-letter atoms pin cancellation across multi-letter increments.
+    "Free(3)": (300, 4, "x1 x2:1/6 | X2 X1:1/6 | x3:1/3 | X3:1/3"),
 }
 
 #: sha256 prefixes of every data file `walk` and `closure` write for
@@ -374,6 +376,20 @@ GOLDEN_DIGESTS = {
         "witness_seed1.csv": "a07d88e579e21170",
         "witness_seed2.csv": "12c08292607dae3f",
         "witness_seed3.csv": "a96af2642ab21c74",
+    },
+    "Free(3)": {
+        "closure_seed1.txt": "6ddb508b2231f4c8",
+        "closure_seed2.txt": "7bfda9484016bc86",
+        "closure_seed3.txt": "6ddb508b2231f4c8",
+        "positions_seed1.csv": "f77868122c5391bc",
+        "positions_seed2.csv": "026e2bbeb4e2bf05",
+        "positions_seed3.csv": "01cfe7df7869da42",
+        "trace_seed1.txt": "29c9ff77fd605100",
+        "trace_seed2.txt": "7a158de9ec2f6ca6",
+        "trace_seed3.txt": "a7e2d40aefe61001",
+        "witness_seed1.csv": "77fe164a03c7cbe9",
+        "witness_seed2.csv": "32b63bc59efdf400",
+        "witness_seed3.csv": "58ac251534fed733",
     },
     "Free(2)": {
         "closure_seed1.txt": "2db8cca059ebe01b",
@@ -436,15 +452,49 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("group", sorted(GOLDEN_SCENARIOS))
 def test_cli_outputs_match_golden_digests(tmp_path, group):
-    steps, radius = GOLDEN_SCENARIOS[group]
-    cfg = write_config(tmp_path, GOLDEN_CFG.format(group=group, steps=steps,
-                                                   radius=radius))
+    steps, radius, *atoms = GOLDEN_SCENARIOS[group]
+    measure = "".join(f"\n[measure]\nkind = explicit\natoms = {a}\n"
+                      for a in atoms)
+    cfg = write_config(tmp_path, GOLDEN_CFG.format(
+        group=group, measure=measure, steps=steps, radius=radius))
     out = tmp_path / "out"
     for command in ("walk", "closure"):
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
                for p in sorted(out.iterdir()) if p.name != "manifest.json"}
     assert digests == GOLDEN_DIGESTS[group]
+
+
+#: sha256 prefixes of every data file `free-stats` writes for FREE_CFG on
+#: F_2 and F_5 under the standard measure.
+GOLDEN_FREE_STATS = {
+    "Free(2)": {
+        "cancellation.csv": "9624c041ecbc449b",
+        "free_summary.csv": "de95363311b0749e",
+        "growth_seed1.csv": "25ab43a52347d750",
+        "growth_seed2.csv": "928b1404ffb8d34c",
+        "prefix_vj_seed1.csv": "d919f19a0b33738d",
+        "prefix_vj_seed2.csv": "f0679d9642174508",
+    },
+    "Free(5)": {
+        "cancellation.csv": "f6306659ac77bb81",
+        "free_summary.csv": "a87c59f8d4a4f94a",
+        "growth_seed1.csv": "8d5e0e4dab08de85",
+        "growth_seed2.csv": "5a342932dc438f23",
+        "prefix_vj_seed1.csv": "b3fb7d8a321f88b3",
+        "prefix_vj_seed2.csv": "611827caf3431e3f",
+    },
+}
+
+
+@pytest.mark.parametrize("group", sorted(GOLDEN_FREE_STATS))
+def test_free_stats_outputs_match_golden_digests(tmp_path, group):
+    cfg = write_config(tmp_path, FREE_CFG.replace("Free(5)", group))
+    out = tmp_path / "out"
+    assert main(["free-stats", "--config", cfg, "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+    assert digests == GOLDEN_FREE_STATS[group]
 
 
 #: Vector files covering every branch of `lattice-classify`, with the sha256
