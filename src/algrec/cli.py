@@ -210,7 +210,8 @@ def cmd_free_stats(args) -> int:
 
     def one(seed: int):
         start = time.perf_counter()
-        stats = freestats.walk_prefix_stats(d, config.steps, seed, j0=config.j0)
+        stats = freestats.walk_prefix_stats(d, config.steps, seed, j0=config.j0,
+                                            measure=measure)
         vj_path = out_dir / f"prefix_vj_seed{seed}.csv"
         write_csv(vj_path, meta, ["j", "v_j", "log2_j"],
                   [[j, stats.count(j), f"{np.log2(j):.6f}"]

@@ -48,7 +48,7 @@ from .groups import (
     multiply,
     word_length_within,
 )
-from .walks import WalkTrace
+from .walks import TriePositions, WalkTrace
 
 #: Largest ball, in elements, whose product table the closure builds; a
 #: table of n elements holds 2n^2 indices.
@@ -285,17 +285,40 @@ class InverseWitnessReport:
         return Fraction(self.present, decided) if decided else Fraction(0)
 
 
+def tail_within(tail: Sequence[GroupElement], radius: int
+                ) -> tuple[list[int | None], list[GroupElement]]:
+    """Each tail position's word length if it is <= radius, else None, and
+    the closure generators: the in-ball positions, or the first position
+    when none is in the ball (the closure then seeds nothing).
+
+    Free-group lengths are trie depths, so only in-ball words are built.
+    """
+    if isinstance(tail, TriePositions):
+        lengths = [n if n <= radius else None for n in tail.lengths()]
+    else:
+        lengths = [word_length_within(x, radius) for x in tail]
+    inside = [tail[i] for i, n in enumerate(lengths) if n is not None]
+    return lengths, inside or list(tail[:1])
+
+
 def inverse_witness_report(trace: WalkTrace, n: int,
                            budget: ClosureBudget) -> InverseWitnessReport:
-    """Close the tail {X_n..X_N} and test each X_i^-1 for membership."""
+    """Close the tail {X_n..X_N} and test each X_i^-1 for membership.
+
+    Word length is invariant under inversion in every family, so a position
+    outside the radius has its inverse outside it too: neither in the
+    closure nor decidable within the ball, that row is Unknown.
+    """
     if not 1 <= n <= len(trace):
         raise ValueError(f"tail index {n} outside 1..{len(trace)}")
     tail = trace.positions[n - 1:]
-    result = closure(tail, budget, generator_range=(n, len(trace)))
+    lengths, generators = tail_within(tail, budget.radius)
+    result = closure(generators, budget, generator_range=(n, len(trace)))
     rows = []
-    for i, x in enumerate(tail, start=n):
-        member = contains(result, invert(x))
-        rows.append(WitnessRow(i, member, word_length_within(x, budget.radius)))
+    for i, length in enumerate(lengths):
+        member = (Membership.UNKNOWN if length is None
+                  else contains(result, invert(tail[i])))
+        rows.append(WitnessRow(n + i, member, length))
     return InverseWitnessReport(result, tuple(rows))
 
 

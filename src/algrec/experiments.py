@@ -15,6 +15,7 @@ from .closure import (
     closure,
     coverage_fraction,
     inverse_witness_report,
+    tail_within,
 )
 from .measures import SymmetricMeasure
 from .walks import WalkTrace, generate_walk
@@ -100,8 +101,8 @@ def tail_closure(measure: SymmetricMeasure, n_steps: int, tail_index: int,
     trace = generate_walk(measure, n_steps, seed)
     if not 1 <= tail_index <= n_steps:
         raise ValueError(f"tail index {tail_index} outside 1..{n_steps}")
-    return closure(trace.positions[tail_index - 1:], budget,
-                   generator_range=(tail_index, n_steps))
+    _, generators = tail_within(trace.positions[tail_index - 1:], budget.radius)
+    return closure(generators, budget, generator_range=(tail_index, n_steps))
 
 
 def mean_fraction(values: Iterable[Fraction]) -> Fraction:

@@ -18,60 +18,11 @@ import numpy as np
 from .closure import ClosureResult
 from .groups import GroupElement, free, word_length
 from .measures import SymmetricMeasure, uniform_standard_measure
-from .walks import WalkTrace, sample_atom_indices
+from .walks import PrefixTrie, TriePositions, WalkTrace, sample_atom_indices
 
 
 # ---------------------------------------------------------------------------
 # Prefix statistics
-
-class PrefixTrie:
-    """Interned trie over reduced words; nodes are (parent, letter) pairs.
-
-    Supports whole-word insertion (counting every prefix of the word) and
-    single-letter stepping for walks whose increments are generators, where
-    moving to the parent undoes the last letter.
-    """
-
-    def __init__(self, rank: int):
-        self.rank = rank
-        self._children: dict[tuple[int, int], int] = {}
-        self._parent: list[int] = [-1]
-        self._depth: list[int] = [0]
-        self._last: list[int] = [0]  # letter on the edge into each node
-        self.current = 0
-
-    def _child(self, node: int, letter: int) -> int:
-        key = (node, letter)
-        child = self._children.get(key)
-        if child is None:
-            child = len(self._parent)
-            self._children[key] = child
-            self._parent.append(node)
-            self._depth.append(self._depth[node] + 1)
-            self._last.append(letter)
-        return child
-
-    def step(self, letter: int) -> None:
-        """Multiply the current position by a single generator letter."""
-        if letter == 0 or abs(letter) > self.rank:
-            raise ValueError(f"letter {letter} outside alphabet")
-        node = self.current
-        if node != 0 and self._last[node] == -letter:
-            self.current = self._parent[node]
-        else:
-            self.current = self._child(node, letter)
-
-    def insert_word(self, word: Sequence[int]) -> None:
-        node = 0
-        for letter in word:
-            node = self._child(node, letter)
-
-    def depth_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for depth in self._depth[1:]:
-            counts[depth] = counts.get(depth, 0) + 1
-        return counts
-
 
 @dataclass(frozen=True)
 class PrefixStats:
@@ -92,36 +43,28 @@ class PrefixStats:
 
 def prefix_counts(trace: WalkTrace, j0: int = 64) -> PrefixStats:
     """Exact distinct-prefix counts per depth for a free-group trace."""
-    if trace.descriptor.kind != "Free":
+    positions = trace.positions
+    if not isinstance(positions, TriePositions):
         raise ValueError("prefix statistics need a free-group trace")
-    rank = trace.descriptor.rank
-    trie = PrefixTrie(rank)
-    singles = all(len(z.payload) == 1 for z in trace.increments)
-    if singles:
-        for z in trace.increments:
-            trie.step(z.payload[0])
-    else:
-        for x in trace.positions:
-            trie.insert_word(x.payload)
-    return PrefixStats(rank, len(trace), trie.depth_counts(), j0)
+    return PrefixStats(trace.descriptor.rank, len(trace),
+                       positions.trie.depth_counts(positions.ids), j0)
 
 
 def walk_prefix_stats(d: int, n_steps: int, seed: int, j0: int = 64,
                       measure: SymmetricMeasure | None = None) -> PrefixStats:
-    """Streaming prefix counts of a uniform-measure walk on F_d.
+    """Streaming prefix counts of a walk on F_d under ``measure`` (default
+    the uniform measure on the standard generators).
 
     Uses the same seeded increment stream as generate_walk but never
     materializes positions, so long walks and many seeds stay cheap.
     """
     mu = measure if measure is not None else uniform_standard_measure(free(d))
-    if any(len(g.payload) != 1 for g in mu.support):
-        raise ValueError("streaming prefix stats need single-letter increments")
-    letters = [g.payload[0] for g in mu.support]
-    indices = sample_atom_indices(mu, n_steps, seed)
+    words = [g.payload for g in mu.support]
     trie = PrefixTrie(d)
-    for i in indices:
-        trie.step(letters[i])
-    return PrefixStats(d, n_steps, trie.depth_counts(), j0)
+    node = 0
+    for i in sample_atom_indices(mu, n_steps, seed):
+        node = trie.mul(node, words[i])
+    return PrefixStats(d, n_steps, trie.depth_counts(range(len(trie))), j0)
 
 
 @dataclass(frozen=True)
@@ -292,7 +235,8 @@ def random_reduced_words(d: int, length: int, count: int,
         inverse = np.where(prev < d, prev + d, prev - d)
         draw = rng.integers(0, two_d - 1, size=count, dtype=np.int16)
         codes[:, pos] = draw + (draw >= inverse)
-    return np.where(codes < d, codes + 1, -(codes - d + 1)).astype(np.int16)
+    letters = np.array([*range(1, d + 1), *range(-1, -d - 1, -1)], dtype=np.int16)
+    return letters[codes]
 
 
 @dataclass(frozen=True)

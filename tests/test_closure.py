@@ -15,6 +15,8 @@ from algrec.closure import (
     closure,
     contains,
     coverage_fraction,
+    InverseWitnessReport,
+    WitnessRow,
     inverse_witness_report,
     write_closure_dump,
 )
@@ -199,6 +201,47 @@ def test_table_engine_replays_worklist(descriptor, max_radius, cap):
 
     check()
     assert any(truncated) == (cap is not None)
+
+
+def full_inversion_report(trace, n, budget):
+    """The witness report that closes the whole tail and inverts every
+    position, however long."""
+    tail = list(trace.positions[n - 1:])
+    result = closure(tail, budget, generator_range=(n, len(trace)))
+    return InverseWitnessReport(result, tuple(
+        WitnessRow(i, contains(result, G.invert(x)),
+                   G.word_length_within(x, budget.radius))
+        for i, x in enumerate(tail, start=n)))
+
+
+WITNESS_CASES = [(G.zpower(2), 4), (G.free(2), 3), (G.free(5), 3),
+                 (G.heisenberg(), 3), (G.lamplighter_z(), 3), (G.cyclic(12), 4)]
+
+
+@pytest.mark.parametrize("cap", [None, "max_elements", "max_products"])
+@pytest.mark.parametrize("descriptor,radius", WITNESS_CASES, ids=str)
+def test_witness_report_matches_full_inversion(descriptor, radius, cap):
+    """Rows decided by length first equal contains(result, invert(x)) on
+    every row, with and without a budget that truncates the closure."""
+    mu = uniform_standard_measure(descriptor)
+    exhausted, outside = set(), set()
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**16), st.integers(1, 80), st.data())
+    def check(seed, steps, data):
+        trace = generate_walk(mu, steps, seed=seed)
+        n = data.draw(st.integers(1, steps // 3 + 1))
+        caps = {cap: data.draw(st.integers(
+            1, 8 if cap == "max_elements" else 100))} if cap else {}
+        budget = ClosureBudget(radius, **caps)
+        report = inverse_witness_report(trace, n, budget)
+        assert report == full_inversion_report(trace, n, budget)
+        exhausted.add(report.closure_result.exhausted)
+        outside.update(r.position_length is None for r in report.rows)
+
+    check()
+    assert (False in exhausted) == (cap is not None)
+    assert outside == {True, False}
 
 
 def test_witness_report_torsion_all_present():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from algrec import closure, groups as G
+from algrec import closure, freestats, groups as G
 from algrec.cli import main
 from algrec.config import (
     ConfigError,
@@ -16,6 +16,7 @@ from algrec.config import (
     load_config,
     parse_config,
 )
+from algrec.walks import generate_walk
 
 
 def test_config_roundtrip_canonical():
@@ -252,6 +253,25 @@ def test_cli_free_stats_deterministic(tmp_path):
     for name in ("prefix_vj_seed1.csv", "growth_seed2.csv",
                  "cancellation.csv", "free_summary.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_cli_free_stats_uses_configured_measure(tmp_path):
+    """V_j and max_depth come from the configured walk, not the uniform one."""
+    cfg = write_config(tmp_path, FREE_CFG.replace("Free(5)", "Free(2)").replace(
+        "[walk]", "[measure]\nkind = explicit\n"
+        "atoms = x1 x2:1/4 | X2 X1:1/4 | x2:1/4 | X2:1/4\n\n[walk]")
+        .replace("steps = 400", "steps = 300"))
+    out = tmp_path / "out"
+    assert main(["free-stats", "--config", cfg, "--out", str(out),
+                 "--seed", "4"]) == 0
+    stats = freestats.prefix_counts(
+        generate_walk(build_measure(load_config(cfg)), 300, seed=4))
+    rows = [l.split(",") for l in (out / "prefix_vj_seed4.csv").read_text()
+            .splitlines() if l and not l.startswith("#")][1:]
+    assert {int(j): int(v) for j, v, _ in rows} == stats.counts
+    summary = (out / "free_summary.csv").read_text().splitlines()[-1]
+    assert summary.split(",")[:2] == ["4", str(stats.max_depth)]
+    assert stats.max_depth == 161
 
 
 def test_cli_free_stats_requires_free_group(tmp_path):

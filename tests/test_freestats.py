@@ -23,8 +23,8 @@ from algrec.freestats import (
     sphere_growth_profile,
     walk_prefix_stats,
 )
-from algrec.measures import uniform_standard_measure
-from algrec.walks import generate_walk, trace_from_increments
+from algrec.measures import make_measure, uniform_standard_measure
+from algrec.walks import WalkTrace, generate_walk, trace_from_increments
 from oracles import quadratic_prefix_counts
 
 
@@ -77,6 +77,31 @@ def test_streaming_equals_trace_based():
         mu = uniform_standard_measure(G.free(5))
         trace = generate_walk(mu, 800, seed=seed)
         assert walk_prefix_stats(5, 800, seed).counts == prefix_counts(trace).counts
+
+
+def two_letter_measure():
+    f2 = G.free(2)
+    return make_measure(f2, [(f_el(2, w), Fraction(1, 4))
+                             for w in ([1, 2], [-2, -1], [2], [-2])])
+
+
+@pytest.mark.parametrize("seed", [1, 4, 9])
+def test_streaming_multiletter_equals_trace_based(seed):
+    mu = two_letter_measure()
+    trace = generate_walk(mu, 600, seed=seed)
+    stats = walk_prefix_stats(2, 600, seed, measure=mu)
+    assert stats.counts == prefix_counts(trace).counts
+    assert stats.counts == quadratic_prefix_counts(trace)
+
+
+def test_prefix_counts_of_trace_prefixes():
+    """A prefix of a trace shares the whole walk's trie, but counts only
+    the prefixes of its own positions."""
+    trace = generate_walk(two_letter_measure(), 300, seed=4)
+    for n in (0, 1, 7, 150, 300):
+        prefix = WalkTrace(trace.descriptor, trace.seed,
+                           trace.increments[:n], trace.positions[:n])
+        assert prefix_counts(prefix).counts == quadratic_prefix_counts(prefix)
 
 
 def test_prefix_invariants_on_walk():

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algrec import groups as G
+from algrec.manifest import write_csv
 from algrec.measures import make_measure, uniform_standard_measure
 from algrec.walks import (
     generate_walk,
@@ -14,6 +20,30 @@ from algrec.walks import (
     write_positions_csv,
     write_trace,
 )
+
+#: Free-group step sets: single letters, and two-letter atoms whose
+#: products cancel across increment boundaries.
+FREE_ATOMS = {
+    "F2 letters": (2, [[1], [-1], [2], [-2]]),
+    "F2 pairs": (2, [[1, 2], [-2, -1], [2], [-2]]),
+    "F3 pairs": (3, [[1, 2], [-2, -1], [3], [-3]]),
+    "F3 mixed": (3, [[1, 2], [-2, -1], [2, -3], [3, -2], [1], [-1]]),
+}
+
+
+def free_measure(name):
+    d, words = FREE_ATOMS[name]
+    desc = G.free(d)
+    return make_measure(desc, [(G.make_element(desc, w), Fraction(1, len(words)))
+                               for w in words])
+
+
+def running_products(increments):
+    acc, out = None, []
+    for z in increments:
+        acc = z if acc is None else G.multiply(acc, z)
+        out.append(acc)
+    return out
 
 
 def test_empty_walk():
@@ -117,3 +147,79 @@ def test_trace_from_increments_checks_descriptor():
     z = G.zpower(1)
     with pytest.raises(ValueError):
         trace_from_increments(z, 0, [G.identity(G.zpower(2))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FREE_ATOMS)), st.data())
+def test_trie_positions_match_running_products(name, data):
+    d, words = FREE_ATOMS[name]
+    desc = G.free(d)
+    atoms = [G.make_element(desc, w) for w in words]
+    incs = [atoms[i] for i in data.draw(
+        st.lists(st.integers(0, len(atoms) - 1), max_size=40))]
+    trace = trace_from_increments(desc, 0, incs)
+    ref = running_products(incs)
+    pos = trace.positions
+    assert len(pos) == len(ref)
+    assert list(pos) == ref
+    assert pos == tuple(ref) and tuple(ref) == pos
+    assert hash(pos) == hash(tuple(ref))
+    assert pos.lengths() == [len(x.payload) for x in ref]
+    for i in range(-len(ref), len(ref)):
+        assert pos[i] == ref[i]
+    for n in range(1, len(ref) + 1):
+        assert trace.position(n) == ref[n - 1]
+    for n in (0, len(ref) + 1):
+        with pytest.raises(IndexError):
+            trace.position(n)
+    bounds = st.integers(-len(ref) - 2, len(ref) + 2) | st.none()
+    cut = slice(data.draw(bounds), data.draw(bounds),
+                data.draw(st.sampled_from([None, 1, 2, -1, -3])))
+    assert pos[cut] == tuple(ref[cut])
+    assert list(pos[cut][1:]) == ref[cut][1:]
+    assert trace == trace_from_increments(desc, 0, incs)
+    if ref:
+        other = list(ref)
+        other[-1] = G.multiply(other[-1], atoms[0])
+        assert pos != tuple(other)
+
+
+@pytest.mark.parametrize("name,seed", [("F2 letters", 1), ("F2 pairs", 2),
+                                       ("F3 pairs", 3), ("F3 mixed", 4)])
+def test_free_positions_csv_matches_formatted_products(tmp_path, name, seed):
+    trace = generate_walk(free_measure(name), 400, seed=seed)
+    ref = running_products(trace.increments)
+    write_positions_csv(trace, tmp_path / "trie.csv", meta={"config": "x"})
+    write_csv(tmp_path / "ref.csv", {"config": "x"}, ["step", "position"],
+              [(n, G.format_element(x)) for n, x in enumerate(ref, start=1)])
+    assert (tmp_path / "trie.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak resident set from /proc")
+def test_long_free_closure_memory_is_linear(tmp_path):
+    """A 20k-step F_5 closure run stays far below the gigabyte that full
+    reduced-word positions take. The child reports the high-water mark of
+    its own address space (VmHWM): RUSAGE_SELF would carry over the peak of
+    the test process that started it, and RUSAGE_CHILDREN that of other
+    tests' children."""
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("[group]\nkind = Free(5)\n[walk]\nsteps = 20000\n"
+                   "[budget]\nradius = 4\n[run]\nseeds = 1\n")
+    script = ("import sys\n"
+              "from algrec.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "peak = next(line.split()[1] for line in open('/proc/self/status')\n"
+              "            if line.startswith('VmHWM:'))\n"
+              "print(code, peak)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, "closure", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    code, peak_kb = done.stdout.split()[-2:]
+    assert code == "0"
+    assert int(peak_kb) < 150 * 1024
