@@ -7,7 +7,9 @@ from algrec import groups as G
 from algrec.closure import (
     _TABLE_MAX_BALL,
     ClosureBudget,
+    InverseWitnessReport,
     Membership,
+    WitnessRow,
     _ball_table,
     _table_closure,
     _worklist_closure,
@@ -15,8 +17,6 @@ from algrec.closure import (
     closure,
     contains,
     coverage_fraction,
-    InverseWitnessReport,
-    WitnessRow,
     inverse_witness_report,
     write_closure_dump,
 )
