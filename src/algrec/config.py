@@ -188,9 +188,15 @@ def validate_config(config: ScenarioConfig) -> None:
         raise ConfigError("walk.tail_index", "must be >= 1")
     if config.budget_radius < 1:
         raise ConfigError("budget.radius", "must be >= 1")
-    if config.coverage_radius and config.coverage_radius > config.budget_radius:
+    if config.coverage_radius < 0:
+        raise ConfigError("budget.coverage_radius", "must be >= 0")
+    if config.coverage_radius > config.budget_radius:
         raise ConfigError("budget.coverage_radius",
                           f"must not exceed budget radius {config.budget_radius}")
+    if config.budget_max_elements < 1:
+        raise ConfigError("budget.max_elements", "must be >= 1")
+    if config.budget_max_products < 1:
+        raise ConfigError("budget.max_products", "must be >= 1")
     if not config.seeds:
         raise ConfigError("run.seeds", "need at least one seed")
     if config.witness_mode not in ("torsion", "z-integer"):
@@ -199,6 +205,10 @@ def validate_config(config: ScenarioConfig) -> None:
         if config.steps and not 1 <= n <= config.steps:
             raise ConfigError("walk.eval_steps",
                               f"eval step {n} outside 1..{config.steps}")
+    smallest = min(config.effective_eval_steps())
+    if config.steps and config.tail_index > smallest:
+        raise ConfigError("walk.tail_index",
+                          f"must not exceed the smallest eval step {smallest}")
 
 
 def build_measure(config: ScenarioConfig) -> SymmetricMeasure:

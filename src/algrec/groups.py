@@ -54,12 +54,10 @@ class GroupDescriptor:
     def word_length(self, a: GroupElement, cap: int) -> int:
         return self.length(a.payload)
 
-    def length_within(self, a: GroupElement, radius: int) -> int | None:
-        n = self.length(a.payload)
+    def length_within(self, p: Any, radius: int) -> int | None:
+        """The word length of payload p if it is <= radius, else None."""
+        n = self.length(p)
         return n if n <= radius else None
-
-    def sphere_size(self, radius: int) -> int:
-        return self.ball_size(radius) - self.ball_size(radius - 1)
 
 
 class _BallLengths(GroupDescriptor):
@@ -68,14 +66,14 @@ class _BallLengths(GroupDescriptor):
     length_cap = DEFAULT_WORD_LENGTH_CAP
 
     def word_length(self, a: GroupElement, cap: int) -> int:
-        n = ball_distances(self, cap).get(a)
+        n = ball_distances(self, cap).get(a.payload)
         if n is None:
             raise WordLengthCapError(
                 f"word length of {format_element(a)} exceeds BFS cap {cap}")
         return n
 
-    def length_within(self, a: GroupElement, radius: int) -> int | None:
-        return ball_distances(self, radius).get(a)
+    def length_within(self, p: Any, radius: int) -> int | None:
+        return ball_distances(self, radius).get(p)
 
     def ball_size(self, radius: int) -> int:
         return len(ball_distances(self, radius))
@@ -422,12 +420,13 @@ def standard_generators(descriptor: GroupDescriptor) -> tuple[GroupElement, ...]
 # ---------------------------------------------------------------------------
 # Word length and balls
 
-_BALL_CACHE: dict[tuple[GroupDescriptor, int], dict[GroupElement, int]] = {}
+_BALL_CACHE: dict[tuple[GroupDescriptor, int], dict[Any, int]] = {}
 _BALL_LOCK = threading.Lock()
 
 
-def ball_distances(descriptor: GroupDescriptor, radius: int) -> dict[GroupElement, int]:
-    """Map every element of the radius-``radius`` ball to its word length.
+def ball_distances(descriptor: GroupDescriptor, radius: int) -> dict[Any, int]:
+    """Map the payload of every element of the radius-``radius`` ball to its
+    word length.
 
     Computed by BFS over the standard generators and cached per descriptor
     and radius. Intended for small radii; the cache is shared across threads.
@@ -440,14 +439,15 @@ def ball_distances(descriptor: GroupDescriptor, radius: int) -> dict[GroupElemen
     cached = _BALL_CACHE.get(key)
     if cached is not None:
         return cached
-    gens = standard_generators(descriptor)
-    dist = {identity(descriptor): 0}
-    frontier = [identity(descriptor)]
+    gens = [s.payload for s in standard_generators(descriptor)]
+    mul = descriptor.mul
+    dist = {descriptor.identity_payload: 0}
+    frontier = [descriptor.identity_payload]
     for r in range(1, radius + 1):
         new_frontier = []
         for g in frontier:
             for s in gens:
-                h = multiply(g, s)
+                h = mul(g, s)
                 if h not in dist:
                     dist[h] = r
                     new_frontier.append(h)
@@ -460,7 +460,8 @@ def ball_distances(descriptor: GroupDescriptor, radius: int) -> dict[GroupElemen
 
 def ball_elements(descriptor: GroupDescriptor, radius: int) -> list[GroupElement]:
     """All elements with word length <= radius, sorted canonically."""
-    return sorted(ball_distances(descriptor, radius), key=canonical_key)
+    return sorted((GroupElement(descriptor, p)
+                   for p in ball_distances(descriptor, radius)), key=canonical_key)
 
 
 def ball_size(descriptor: GroupDescriptor, radius: int) -> int:
@@ -468,11 +469,6 @@ def ball_size(descriptor: GroupDescriptor, radius: int) -> int:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     return descriptor.ball_size(radius)
-
-
-def sphere_size(descriptor: GroupDescriptor, radius: int) -> int:
-    """|{g : word_length(g) == radius}|."""
-    return 1 if radius == 0 else descriptor.sphere_size(radius)
 
 
 def word_length(a: GroupElement, cap: int = DEFAULT_WORD_LENGTH_CAP) -> int:
@@ -483,7 +479,7 @@ def word_length(a: GroupElement, cap: int = DEFAULT_WORD_LENGTH_CAP) -> int:
 
 def word_length_within(a: GroupElement, radius: int) -> int | None:
     """Word length if it is <= radius, else None. Never raises on long elements."""
-    return a.descriptor.length_within(a, radius)
+    return a.descriptor.length_within(a.payload, radius)
 
 
 # ---------------------------------------------------------------------------

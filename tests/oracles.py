@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
-from algrec.groups import GroupElement, heisenberg
+from bisect import insort
+from collections import deque
+
+from algrec.groups import (
+    GroupElement,
+    canonical_key,
+    heisenberg,
+    multiply,
+    word_length_within,
+)
 
 # ---------------------------------------------------------------------------
 # Heisenberg via 3x3 upper-unitriangular integer matrices
@@ -107,6 +116,45 @@ def set_closure_z2(generators, window: int) -> set[tuple[int, int]]:
                 reached.add(z)
                 frontier.append(z)
     return reached
+
+
+# ---------------------------------------------------------------------------
+# Closure on group elements
+
+def worklist_closure(gens: list[GroupElement], budget
+                     ) -> tuple[set[GroupElement], bool, int]:
+    """The closure's steps on group elements, every pair tried from both
+    sides: elements, exhausted and products_performed for closure() to
+    replay exactly."""
+    radius = budget.radius
+    seed = sorted({g for g in gens if word_length_within(g, radius) is not None},
+                  key=canonical_key)
+    elements: set[GroupElement] = set(seed)
+    partners = [(canonical_key(g), g) for g in seed]
+    worklist = deque(seed)
+    products = 0
+    truncated = False
+    while worklist:
+        if len(elements) >= budget.max_elements or products >= budget.max_products:
+            truncated = True
+            break
+        x = worklist.popleft()
+        for _, y in partners[:]:
+            for z in (multiply(x, y), multiply(y, x)):
+                products += 1
+                if z in elements:
+                    continue
+                if word_length_within(z, radius) is None:
+                    continue
+                elements.add(z)
+                worklist.append(z)
+                insort(partners, (canonical_key(z), z))
+            if products >= budget.max_products or len(elements) >= budget.max_elements:
+                truncated = True
+                break
+        if truncated:
+            break
+    return elements, not truncated and not worklist, products
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,16 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algrec import groups as G
+from algrec import closure as C, groups as G
 from algrec.closure import (
-    _TABLE_MAX_BALL,
     ClosureBudget,
     InverseWitnessReport,
     Membership,
     WitnessRow,
-    _ball_table,
-    _table_closure,
-    _worklist_closure,
     brute_force_abelian_closure,
     closure,
     contains,
@@ -22,6 +20,7 @@ from algrec.closure import (
 )
 from algrec.measures import uniform_standard_measure
 from algrec.walks import generate_walk, trace_from_increments
+from oracles import worklist_closure
 
 
 def z_el(v):
@@ -164,19 +163,24 @@ def test_closure_determinism():
     assert a.products_performed == b.products_performed
 
 
-#: Groups with the largest radius checked for each; every ball fits a table.
+#: Groups with the largest radius checked for each. Balls of more than 512
+#: elements, which memoise no products, are those of F_5 at r >= 3, F_3 at
+#: r = 4, Heisenberg at r = 6 and Z^2 at r >= 16.
 TABLE_CASES = [
     (G.zpower(1), 12), (G.zpower(2), 6), (G.zpower(3), 4),
     (G.cyclic(5), 3), (G.cyclic(12), 6),
     (G.free(2), 4), (G.heisenberg(), 5), (G.lamplighter_z(), 6),
+    (G.free(5), 4), (G.free(3), 4), (G.heisenberg(), 6), (G.zpower(2), 20),
 ]
 
 
 @pytest.mark.parametrize("cap", [None, "max_elements", "max_products"])
 @pytest.mark.parametrize("descriptor,max_radius", TABLE_CASES, ids=str)
 def test_table_engine_replays_worklist(descriptor, max_radius, cap):
-    """Elements, exhausted and product count agree between the two engines
-    on walk tails, with no cap or with a small cap that stops some runs."""
+    """closure() replays the element worklist of tests/oracles.py, which
+    tries every pair from both sides: elements, exhausted and product count
+    agree on walk tails, with no cap or with a small cap that stops some
+    runs, whether or not the ball memoises products."""
     mu = uniform_standard_measure(descriptor)
     truncated = []
 
@@ -184,23 +188,73 @@ def test_table_engine_replays_worklist(descriptor, max_radius, cap):
     @given(st.integers(1, max_radius), st.integers(0, 2**16),
            st.integers(10, 200), st.data())
     def check(radius, seed, steps, data):
-        assert G.ball_size(descriptor, radius) <= _TABLE_MAX_BALL
         positions = generate_walk(mu, steps, seed=seed).positions
         tail = positions[data.draw(st.integers(0, steps // 4)):]
         caps = {cap: data.draw(st.integers(
             1, 40 if cap == "max_elements" else 2000))} if cap else {}
         budget = ClosureBudget(radius, **caps)
-        table = _table_closure(_ball_table(descriptor, radius), tail, budget)
-        work = _worklist_closure(tail, budget)
-        assert table[0] == sorted(work[0], key=G.canonical_key)
-        assert table[1:] == work[1:]
+        elements, exhausted, products = worklist_closure(tail, budget)
         result = closure(tail, budget)
         assert (result.elements, result.exhausted, result.products_performed) \
-            == (frozenset(table[0]), table[1], table[2])
-        truncated.append(not table[1])
+            == (frozenset(elements), exhausted, products)
+        truncated.append(not exhausted)
 
     check()
     assert any(truncated) == (cap is not None)
+
+
+@pytest.mark.parametrize("seed,products,kept,muls", [
+    (28, 180_172, 310, 96_410), (30, 640_372, 572, 327_756)])
+def test_exhausted_closure_multiplies_each_pair_once(monkeypatch, seed,
+                                                     products, kept, muls):
+    """The heavy F_5, r = 4, 200-step tail closures count two products per
+    partner visit but multiply each unordered pair once: k(k+1) calls of
+    mul for k elements, about half the products counted."""
+    monkeypatch.setattr(C, "_STORES", {})
+    tail = generate_walk(uniform_standard_measure(G.free(5)), 200,
+                         seed=seed).positions
+    calls = []
+    mul = G.Free.mul
+    monkeypatch.setattr(G.Free, "mul",
+                        lambda self, p, q: calls.append(1) or mul(self, p, q))
+    result = closure(tail, ClosureBudget(radius=4))
+    k = len(result.elements)
+    assert result.exhausted
+    assert (result.products_performed, k) == (products, kept)
+    assert len(calls) == k * (k + 1) == muls
+
+
+def test_store_is_shared_across_threads(monkeypatch):
+    """Three threads closing Heisenberg and F_5 tails into empty stores get
+    the one-thread results, and every payload keeps one id."""
+    budget = ClosureBudget(radius=4)
+    tails = [list(generate_walk(uniform_standard_measure(d), 60, seed=s)
+                  .positions)
+             for d, s in [(G.heisenberg(), 1), (G.heisenberg(), 2),
+                          (G.free(5), 30), (G.free(5), 3), (G.heisenberg(), 3),
+                          (G.free(5), 28)]]
+
+    def run_all(threads):
+        monkeypatch.setattr(C, "_STORES", {})
+        with ThreadPoolExecutor(threads) as pool:
+            futures = [pool.submit(closure, t, budget) for t in tails]
+            results = [f.result(timeout=120) for f in futures]
+        return results, dict(C._STORES)
+
+    one, _ = run_all(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        three, stores = run_all(3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(r.elements, r.exhausted, r.products_performed) for r in three] \
+        == [(r.elements, r.exhausted, r.products_performed) for r in one]
+    assert len(stores) == 2
+    for store in stores.values():
+        assert len(store.ids) == len(store.payloads) == len(store.keys)
+        assert all(store.ids[p] == i for i, p in enumerate(store.payloads))
+        assert store.keys == [store.desc.format(p) for p in store.payloads]
 
 
 def full_inversion_report(trace, n, budget):

@@ -54,6 +54,17 @@ def test_parse_errors_carry_field_paths():
     with pytest.raises(ConfigError) as err:
         parse_config("[budget]\nradius = 3\ncoverage_radius = 9\n")
     assert "budget.coverage_radius" in str(err.value)
+    for text, path in [
+            ("[budget]\ncoverage_radius = -1\n", "budget.coverage_radius"),
+            ("[budget]\nmax_elements = 0\n", "budget.max_elements"),
+            ("[budget]\nmax_products = 0\n", "budget.max_products"),
+            ("[walk]\nsteps = 200\neval_steps = 20,200\ntail_index = 50\n",
+             "walk.tail_index"),
+            ("[walk]\nsteps = 10\ntail_index = 11\n", "walk.tail_index")]:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value).startswith(path)
+    parse_config("[walk]\nsteps = 200\neval_steps = 20,200\ntail_index = 20\n")
 
 
 def test_explicit_measure_built_from_atoms():
@@ -174,10 +185,10 @@ def test_cli_ar_estimate_deterministic(tmp_path):
 
 
 def test_cli_ar_estimate_deterministic_heisenberg(tmp_path, monkeypatch):
-    """Three threads building the shared ball and ball-table caches from
+    """Three threads building the shared ball and closure-store caches from
     empty write the same bytes as one thread."""
     monkeypatch.setattr(G, "_BALL_CACHE", {})
-    monkeypatch.setattr(closure, "_TABLE_CACHE", {})
+    monkeypatch.setattr(closure, "_STORES", {})
     cfg = write_config(tmp_path, AR_CFG.replace("CyclicZ(12)", "Heisenberg")
                        .replace("radius = 6", "radius = 4"))
     out1, out3 = tmp_path / "x", tmp_path / "y"
