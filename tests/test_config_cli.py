@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,66 @@ def test_config_roundtrip_canonical():
     text = canonical_text(config)
     assert parse_config(text) == config
     assert canonical_text(parse_config(text)) == text
+
+
+#: A config that sets every field away from its default.
+ALL_FIELDS_CONFIG = ScenarioConfig(
+    group=G.free(3), measure_kind="explicit", heavy_alpha=Fraction(5, 2),
+    heavy_cutoff=6, heavy_minor_weight=Fraction(1, 7),
+    explicit_atoms=(("x1", Fraction(1, 4)), ("X1", Fraction(1, 4)),
+                    ("x2 x3", Fraction(1, 4)), ("X3 X2", Fraction(1, 4))),
+    steps=300, tail_index=10, eval_steps=(50, 300), budget_radius=4,
+    budget_max_elements=5000, budget_max_products=90_000, coverage_radius=3,
+    seeds=(0, 7, 11), out_dir="elsewhere", trials=500, lengths=(8, 32),
+    pool_size=4, pool_length=16, excursions=2000, j0=32,
+    witness_mode="z-integer", witness_x="3", witness_y="-2", max_k=12,
+    k_min=-2, k_max=2, n_max=4, m_max=5)
+
+#: (config_hash, sha256 of canonical_text) per config. They pin the canonical
+#: text, and so the config stamp on every data file, across refactors of the
+#: config module; update them only for a change meant to alter that text.
+CONFIG_PINS = {
+    "default": ("e4982ce572de", "db7369009e26459741e5850c60f866b3"
+                                "85f461e5629c6f83c0751563d4a9e448"),
+    "all-fields": ("5e6630630a82", "ca2856cbf301f0f4041cbfa1969706e3"
+                                   "cc67aa120f63f23b923c30ca44f36a14"),
+    "ar_survey_f5.cfg": ("c831a8244ca9", "d6de06fc9a5855138a123f0bc5ab1b1c"
+                                         "1f7e5b731e25ca93d001446203c4dedf"),
+    "ar_survey_heisenberg.cfg": ("e9cd946876c7",
+                                 "e37bc189dd490b68fd3bf2de419fbebe"
+                                 "72cc38185744dc3edd5a5827d47db103"),
+    "ar_survey_z.cfg": ("d208acc6c687", "1bdfe49b23314cbe93d6fa6eaed5b5c0"
+                                        "ffcba30656ab633bfdcc2574eaf7ba4e"),
+    "ar_survey_z12.cfg": ("57c61aff571c", "4b207ed8dd624d87d19caa3139d007e0"
+                                          "2b6a2e48f11295f56d48f4ad4c42715b"),
+    "free_stats_f2.cfg": ("88c349869732", "201cface4d5aa4c754663d669443890c"
+                                          "4349c57ee6655271e04d916c9f798a5e"),
+    "free_stats_f5.cfg": ("c3d0f9522ea0", "36ebe05bfa5a8b9a141cc650ecc3ecb8"
+                                          "d090defd9013aff82b9f6003c97c43b7"),
+}
+
+CONFIG_DIR = Path(__file__).parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_PINS))
+def test_config_hash_and_canonical_text_pinned(name):
+    if name == "default":
+        config = ScenarioConfig()
+    elif name == "all-fields":
+        config = ALL_FIELDS_CONFIG
+    else:
+        config = load_config(str(CONFIG_DIR / name))
+    text = canonical_text(config)
+    assert (config_hash(config),
+            hashlib.sha256(text.encode()).hexdigest()) == CONFIG_PINS[name]
+    assert parse_config(text) == config
+
+
+def test_config_pins_cover_every_field_and_config():
+    default = ScenarioConfig()
+    assert all(getattr(ALL_FIELDS_CONFIG, f.name) != getattr(default, f.name)
+               for f in fields(ScenarioConfig))
+    assert {p.name for p in CONFIG_DIR.glob("*.cfg")} <= set(CONFIG_PINS)
 
 
 def test_config_hash_ignores_out_dir():
