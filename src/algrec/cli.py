@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,8 +33,9 @@ from .config import (
     build_measure,
     config_hash,
     load_config,
+    validate_config,
 )
-from .groups import format_element, parse_descriptor, parse_element
+from .groups import format_element, parse_element
 from .identities import (
     nilpotent_identity_grid,
     torsion_inverse_witness,
@@ -50,25 +52,22 @@ EXIT_NO_RESULT = 3
 
 
 def _prepare(args) -> tuple[ScenarioConfig, dict, Path, int]:
+    """The config file (or the defaults) with the flag overrides applied,
+    validated like a file before any output is written."""
     config = load_config(args.config) if args.config else ScenarioConfig()
     overrides = {}
-    if args.seed:
+    if args.seed is not None:
         overrides["seeds"] = tuple(args.seed)
-    if args.out:
+    if args.out is not None:
         overrides["out_dir"] = args.out
-    if getattr(args, "d", None):
-        overrides["group"] = parse_descriptor(f"Free({args.d})")
-    if getattr(args, "steps", None):
-        overrides["steps"] = args.steps
-    if getattr(args, "trials", None):
-        overrides["trials"] = args.trials
-    if overrides:
-        config = type(config)(**{**config.__dict__, **overrides})
-    threads = experiments.resolve_threads(args.threads)
+    config = replace(config, **overrides)
+    validate_config(config)
+    if args.threads < 1:
+        raise ConfigError("--threads", "must be >= 1")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"config": config_hash(config)}
-    return config, meta, out_dir, threads
+    return config, meta, out_dir, args.threads
 
 
 def cmd_walk(args) -> int:
@@ -336,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, action="append",
                        help="override config seeds (repeatable)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default ${experiments.THREADS_ENV_VAR} or 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default 1)")
 
     for name, fn in [("walk", cmd_walk), ("closure", cmd_closure),
                      ("ar-estimate", cmd_ar_estimate),
@@ -346,11 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                      ("witness-check", cmd_witness_check)]:
         p = sub.add_parser(name)
         common(p)
-        if name == "free-stats":
-            p.add_argument("--d", type=int, help="free group rank override")
-            p.add_argument("--steps", type=int, help="walk length override")
-            p.add_argument("--trials", type=int,
-                           help="cancellation trials override")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("lattice-classify")

@@ -1,7 +1,11 @@
 """Plain-text scenario configuration: key = value lines under section headers.
 
-Parsed configs round-trip to an identical canonical text, whose SHA-256
-prefix stamps every output file a run writes.
+Each ScenarioConfig field declares its ``section.key`` and, where the
+program needs one, an integer lower bound (checked on every entry of a
+tuple field). Lookup, parsing, canonical text and the bound checks all
+derive from that one declaration, with parsing and text chosen by the
+field's type. Parsed configs round-trip to an identical canonical text,
+whose SHA-256 prefix stamps every output file a run writes.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import hashlib
 import io
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import groupby
+from typing import get_type_hints
 
 from .groups import GroupDescriptor, parse_descriptor, parse_element, zpower
 from .measures import (
@@ -29,40 +35,48 @@ class ConfigError(ValueError):
         self.path = path
 
 
+def _key(path: str, default, *, minimum: int | None = None):
+    """A field read from ``path`` ("section.key"), at least ``minimum``."""
+    return field(default=default, metadata={"key": path, "min": minimum})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    group: GroupDescriptor = field(default_factory=lambda: zpower(1))
-    measure_kind: str = "standard"  # standard | heavy-tail | explicit
-    heavy_alpha: Fraction = Fraction(2)
-    heavy_cutoff: int = 4
-    heavy_minor_weight: Fraction = Fraction(1, 5)
-    explicit_atoms: tuple[tuple[str, Fraction], ...] = ()
-    steps: int = 100
-    tail_index: int = 1
-    eval_steps: tuple[int, ...] = ()  # empty means (steps,)
-    budget_radius: int = 5
-    budget_max_elements: int = 100_000
-    budget_max_products: int = 2_000_000
-    coverage_radius: int = 0  # 0 means budget_radius
-    seeds: tuple[int, ...] = (1,)
-    out_dir: str = "out"
+    group: GroupDescriptor = _key("group.kind", zpower(1))
+    # standard | heavy-tail | explicit
+    measure_kind: str = _key("measure.kind", "standard")
+    heavy_alpha: Fraction = _key("measure.alpha", Fraction(2))
+    heavy_cutoff: int = _key("measure.cutoff", 4, minimum=1)
+    heavy_minor_weight: Fraction = _key("measure.minor_weight", Fraction(1, 5))
+    explicit_atoms: tuple[tuple[str, Fraction], ...] = _key("measure.atoms", ())
+    steps: int = _key("walk.steps", 100, minimum=0)
+    tail_index: int = _key("walk.tail_index", 1, minimum=1)
+    # empty means (steps,)
+    eval_steps: tuple[int, ...] = _key("walk.eval_steps", ())
+    budget_radius: int = _key("budget.radius", 5, minimum=1)
+    budget_max_elements: int = _key("budget.max_elements", 100_000, minimum=1)
+    budget_max_products: int = _key("budget.max_products", 2_000_000, minimum=1)
+    # 0 means budget_radius
+    coverage_radius: int = _key("budget.coverage_radius", 0, minimum=0)
+    seeds: tuple[int, ...] = _key("run.seeds", (1,), minimum=0)
+    out_dir: str = _key("output.out_dir", "out")
     # free-stats extras
-    trials: int = 10_000
-    lengths: tuple[int, ...] = (16, 64, 256)
-    pool_size: int = 8
-    pool_length: int = 64
-    excursions: int = 100_000
-    j0: int = 64
-    # witness extras
-    witness_mode: str = "torsion"  # torsion | z-integer
-    witness_x: str = ""
-    witness_y: str = ""
-    max_k: int = 64
+    trials: int = _key("free.trials", 10_000, minimum=1)
+    lengths: tuple[int, ...] = _key("free.lengths", (16, 64, 256), minimum=1)
+    pool_size: int = _key("free.pool_size", 8, minimum=1)
+    pool_length: int = _key("free.pool_length", 64, minimum=1)
+    excursions: int = _key("free.excursions", 100_000, minimum=1)
+    j0: int = _key("free.j0", 64)
+    # witness extras; mode is torsion | z-integer
+    witness_mode: str = _key("witness.mode", "torsion")
+    witness_x: str = _key("witness.x", "")
+    witness_y: str = _key("witness.y", "")
+    max_k: int = _key("witness.max_k", 64, minimum=1)
     # nilpotent extras
-    k_min: int = -1
-    k_max: int = 1
-    n_max: int = 3
-    m_max: int = 3
+    k_min: int = _key("nilpotent.k_min", -1)
+    k_max: int = _key("nilpotent.k_max", 1)
+    n_max: int = _key("nilpotent.n_max", 3, minimum=1)
+    m_max: int = _key("nilpotent.m_max", 3, minimum=1)
 
     def effective_eval_steps(self) -> tuple[int, ...]:
         return self.eval_steps if self.eval_steps else (self.steps,)
@@ -71,62 +85,38 @@ class ScenarioConfig:
         return self.coverage_radius if self.coverage_radius else self.budget_radius
 
 
-_SCHEMA = {
-    "group": {"kind": "group"},
-    "measure": {"kind": "measure_kind", "alpha": "heavy_alpha",
-                "cutoff": "heavy_cutoff", "minor_weight": "heavy_minor_weight",
-                "atoms": "explicit_atoms"},
-    "walk": {"steps": "steps", "tail_index": "tail_index",
-             "eval_steps": "eval_steps"},
-    "budget": {"radius": "budget_radius", "max_elements": "budget_max_elements",
-               "max_products": "budget_max_products",
-               "coverage_radius": "coverage_radius"},
-    "run": {"seeds": "seeds"},
-    "output": {"out_dir": "out_dir"},
-    "free": {"trials": "trials", "lengths": "lengths", "pool_size": "pool_size",
-             "pool_length": "pool_length", "excursions": "excursions",
-             "j0": "j0"},
-    "witness": {"mode": "witness_mode", "x": "witness_x", "y": "witness_y",
-                "max_k": "max_k"},
-    "nilpotent": {"k_min": "k_min", "k_max": "k_max", "n_max": "n_max",
-                  "m_max": "m_max"},
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in raw.split(",") if t.strip()) if raw else ()
+
+
+def _parse_atoms(raw: str) -> tuple[tuple[str, Fraction], ...]:
+    atoms = []
+    for part in raw.split("|"):
+        part = part.strip()
+        if part:
+            element, _, weight = part.rpartition(":")
+            atoms.append((element.strip(), Fraction(weight.strip())))
+    return tuple(atoms)
+
+
+#: Field type -> (parse stripped text, format value as text).
+_CODECS = {
+    GroupDescriptor: (parse_descriptor, str),
+    str: (str, str),
+    int: (int, str),
+    Fraction: (Fraction, str),
+    tuple[int, ...]: (_parse_ints, lambda v: ",".join(str(x) for x in v)),
+    tuple[tuple[str, Fraction], ...]: (
+        _parse_atoms, lambda v: " | ".join(f"{el}:{w}" for el, w in v)),
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+_TYPES = get_type_hints(ScenarioConfig)
 
-
-def _parse_value(path: str, attr: str, raw: str):
-    raw = raw.strip()
-    try:
-        if attr == "group":
-            return parse_descriptor(raw)
-        if attr in ("eval_steps", "lengths", "seeds"):
-            return tuple(int(t) for t in raw.split(",") if t.strip()) if raw else ()
-        if attr == "explicit_atoms":
-            atoms = []
-            for part in raw.split("|"):
-                part = part.strip()
-                if not part:
-                    continue
-                element, _, weight = part.rpartition(":")
-                atoms.append((element.strip(), Fraction(weight.strip())))
-            return tuple(atoms)
-        if attr in ("heavy_alpha", "heavy_minor_weight"):
-            return Fraction(raw)
-        if attr in ("measure_kind", "out_dir", "witness_mode",
-                    "witness_x", "witness_y"):
-            return raw
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
-def _format_value(attr: str, value) -> str:
-    if attr in ("eval_steps", "lengths", "seeds"):
-        return ",".join(str(v) for v in value)
-    if attr == "explicit_atoms":
-        return " | ".join(f"{el}:{w}" for el, w in value)
-    return str(value)
+#: "section.key" -> field, in canonical (section, key) order.
+_FIELDS = {f.metadata["key"]: f
+           for f in sorted(fields(ScenarioConfig),
+                           key=lambda f: f.metadata["key"].split("."))}
+_SECTIONS = {path.split(".")[0] for path in _FIELDS}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -137,18 +127,18 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("<config>", str(exc)) from None
     values = {}
     for section in parser.sections():
-        keys = _SCHEMA.get(section)
-        if keys is None:
+        if section not in _SECTIONS:
             raise ConfigError(section, "unknown section")
         for key, raw in parser.items(section):
-            attr = keys.get(key)
-            if attr is None:
-                raise ConfigError(f"{section}.{key}", "unknown key")
-            values[attr] = _parse_value(f"{section}.{key}", attr, raw)
-    try:
-        config = ScenarioConfig(**values)
-    except ValueError as exc:
-        raise ConfigError("group.kind", str(exc)) from None
+            path = f"{section}.{key}"
+            f = _FIELDS.get(path)
+            if f is None:
+                raise ConfigError(path, "unknown key")
+            try:
+                values[f.name] = _CODECS[_TYPES[f.name]][0](raw.strip())
+            except ValueError as exc:
+                raise ConfigError(path, str(exc)) from None
+    config = ScenarioConfig(**values)
     validate_config(config)
     return config
 
@@ -160,13 +150,14 @@ def load_config(path: str) -> ScenarioConfig:
 
 def canonical_text(config: ScenarioConfig, include_output: bool = True) -> str:
     out = io.StringIO()
-    for section in sorted(_SCHEMA):
+    for section, paths in groupby(_FIELDS, key=lambda p: p.split(".")[0]):
         if section == "output" and not include_output:
             continue
         out.write(f"[{section}]\n")
-        for key in sorted(_SCHEMA[section]):
-            attr = _SCHEMA[section][key]
-            out.write(f"{key} = {_format_value(attr, getattr(config, attr))}\n")
+        for path in paths:
+            f = _FIELDS[path]
+            text = _CODECS[_TYPES[f.name]][1](getattr(config, f.name))
+            out.write(f"{path.split('.')[1]} = {text}\n")
         out.write("\n")
     return out.getvalue()
 
@@ -179,24 +170,18 @@ def config_hash(config: ScenarioConfig) -> str:
 
 
 def validate_config(config: ScenarioConfig) -> None:
+    """Raise ConfigError, naming the field, for a setting no command can run."""
+    for path, f in _FIELDS.items():
+        low, value = f.metadata["min"], getattr(config, f.name)
+        entries = value if isinstance(value, tuple) else (value,)
+        if low is not None and any(v < low for v in entries):
+            raise ConfigError(path, f"must be >= {low}")
     if config.measure_kind not in ("standard", "heavy-tail", "explicit"):
         raise ConfigError("measure.kind",
                           "expected standard, heavy-tail or explicit")
-    if config.steps < 0:
-        raise ConfigError("walk.steps", "must be >= 0")
-    if config.tail_index < 1:
-        raise ConfigError("walk.tail_index", "must be >= 1")
-    if config.budget_radius < 1:
-        raise ConfigError("budget.radius", "must be >= 1")
-    if config.coverage_radius < 0:
-        raise ConfigError("budget.coverage_radius", "must be >= 0")
     if config.coverage_radius > config.budget_radius:
         raise ConfigError("budget.coverage_radius",
                           f"must not exceed budget radius {config.budget_radius}")
-    if config.budget_max_elements < 1:
-        raise ConfigError("budget.max_elements", "must be >= 1")
-    if config.budget_max_products < 1:
-        raise ConfigError("budget.max_products", "must be >= 1")
     if not config.seeds:
         raise ConfigError("run.seeds", "need at least one seed")
     if config.witness_mode not in ("torsion", "z-integer"):
@@ -209,6 +194,9 @@ def validate_config(config: ScenarioConfig) -> None:
     if config.steps and config.tail_index > smallest:
         raise ConfigError("walk.tail_index",
                           f"must not exceed the smallest eval step {smallest}")
+    if config.k_min > config.k_max:
+        raise ConfigError("nilpotent.k_min",
+                          f"must not exceed nilpotent.k_max {config.k_max}")
 
 
 def build_measure(config: ScenarioConfig) -> SymmetricMeasure:

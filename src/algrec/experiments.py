@@ -4,7 +4,6 @@ fan-out preserves seed order regardless of the thread count."""
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,21 +23,6 @@ T = TypeVar("T")
 
 #: Seed set pinned for the statistical acceptance runs.
 ACCEPTANCE_SEEDS: tuple[int, ...] = tuple(range(1, 101))
-
-THREADS_ENV_VAR = "ALGREC_THREADS"
-
-
-def resolve_threads(requested: int | None) -> int:
-    """--threads flag if given, else the ALGREC_THREADS env var, else 1."""
-    if requested is not None:
-        value = requested
-    else:
-        raw = os.environ.get(THREADS_ENV_VAR)
-        value = int(raw) if raw else 1
-    if value < 1:
-        raise ValueError("thread count must be >= 1")
-    return value
-
 
 def map_seeds(fn: Callable[[int], T], seeds: Sequence[int],
               threads: int = 1) -> list[T]:

@@ -20,6 +20,15 @@ from .groups import GroupElement, free, word_length
 from .measures import SymmetricMeasure, uniform_standard_measure
 from .walks import PrefixTrie, TriePositions, WalkTrace, sample_atom_indices
 
+#: Levels below the walk's maximum whose visit counts may still grow.
+CENSOR_MARGIN = 64
+#: Levels above the start at which an excursion counts as an escape.
+EXCURSION_CUTOFF = 64
+#: Raw (length, cancellation) pairs kept per word length.
+KEEP_SAMPLES = 1000
+#: Trials drawn per batch in cancellation_experiment.
+CANCEL_CHUNK = 20_000
+
 
 # ---------------------------------------------------------------------------
 # Prefix statistics
@@ -114,7 +123,7 @@ class ReflectedWalkStats:
 
     V_j counts arrivals at level j from below; a level is revisited when the
     walk later drops to j-1 and climbs back. Reflection at 0 forces an
-    up-step. Levels within `censor_margin` of the maximum reached are
+    up-step. Levels within CENSOR_MARGIN of the maximum reached are
     excluded from the pooled statistics since their counts may still grow.
     """
 
@@ -124,11 +133,10 @@ class ReflectedWalkStats:
     visits: dict[int, int]
     final_level: int
     max_level: int
-    censor_margin: int = 64
 
     @property
     def complete_levels(self) -> list[int]:
-        top = self.max_level - self.censor_margin
+        top = self.max_level - CENSOR_MARGIN
         return [j for j in sorted(self.visits) if 1 <= j <= top]
 
     def mean_visits(self, lo: int, hi: int) -> float:
@@ -147,8 +155,7 @@ class ReflectedWalkStats:
         return 1.0 - len(counts) / total
 
 
-def reflected_biased_walk(d: int, steps: int, seed: int,
-                          censor_margin: int = 64) -> ReflectedWalkStats:
+def reflected_biased_walk(d: int, steps: int, seed: int) -> ReflectedWalkStats:
     """Simulate the level walk and tabulate per-level arrival counts."""
     if d < 1 or steps < 0:
         raise ValueError("need d >= 1 and steps >= 0")
@@ -167,18 +174,17 @@ def reflected_biased_walk(d: int, steps: int, seed: int,
                 max_level = level
         else:
             level -= 1
-    return ReflectedWalkStats(d, steps, seed, visits, level, max_level,
-                              censor_margin)
+    return ReflectedWalkStats(d, steps, seed, visits, level, max_level)
 
 
-def return_excursion_estimate(d: int, excursions: int, seed: int,
-                              cutoff: int = 64) -> float:
+def return_excursion_estimate(d: int, excursions: int, seed: int) -> float:
     """Monte Carlo re-arrival frequency of the level walk.
 
     One excursion starts at a level just reached from below and ends when
-    the walk either drops below the level (a return) or climbs `cutoff`
-    levels above it (counted as escape; the neglected return mass is below
-    (2d-1)**-cutoff). Vectorized over all excursions.
+    the walk either drops below the level (a return) or climbs
+    EXCURSION_CUTOFF levels above it (counted as escape; the neglected
+    return mass is below (2d-1)**-EXCURSION_CUTOFF). Vectorized over all
+    excursions.
     """
     if excursions < 1:
         raise ValueError("excursions must be positive")
@@ -195,7 +201,7 @@ def return_excursion_estimate(d: int, excursions: int, seed: int,
         level[active] += steps
         hit = active & (level < 0)
         returned |= hit
-        active &= (level >= 0) & (level < cutoff)
+        active &= (level >= 0) & (level < EXCURSION_CUTOFF)
     return float(returned.mean())
 
 
@@ -265,25 +271,22 @@ class CancellationSample:
     table: tuple[ExceedanceRow, ...] = field(default=())
 
 
-def cancellation_experiment(d: int, trials: int,
-                            pool: Sequence[GroupElement] | Sequence[Sequence[int]],
-                            seed: int,
-                            lengths: Sequence[int] = (16, 64, 256),
-                            keep_samples: int = 1000,
-                            chunk: int = 20_000) -> CancellationSample:
+def cancellation_experiment(d: int, trials: int, pool: Sequence[Sequence[int]],
+                            seed: int, lengths: Sequence[int] = (16, 64, 256)
+                            ) -> CancellationSample:
     """Estimate Pr(cancel(X, w) > log2 s) for uniform reduced X of length s.
 
     Each trial pairs a fresh X with a pool word chosen uniformly; the
     exceedance count per length is compared against the analytic bound
-    (2d-1)**(-log2 s) by the caller. Trials are processed in chunks to
-    bound memory; only the first `keep_samples` raw pairs per length are
-    retained.
+    (2d-1)**(-log2 s) by the caller. Pool words are signed-letter tuples.
+    Trials are processed in chunks of CANCEL_CHUNK to bound memory; only
+    the first KEEP_SAMPLES raw pairs per length are retained.
     """
     if trials < 1 or not pool:
         raise ValueError("need trials >= 1 and a nonempty pool")
     words = []
     for w in pool:
-        letters = tuple(w.payload if isinstance(w, GroupElement) else w)
+        letters = tuple(w)
         if not letters:
             raise ValueError("pool words must be nonempty")
         if any(a == -b for a, b in zip(letters, letters[1:])):
@@ -297,7 +300,7 @@ def cancellation_experiment(d: int, trials: int,
         kept_here = 0
         done = 0
         while done < trials:
-            batch = min(chunk, trials - done)
+            batch = min(CANCEL_CHUNK, trials - done)
             xs = random_reduced_words(d, s, batch, rng)
             which = rng.integers(0, len(words), size=batch)
             cancels = np.zeros(batch, dtype=np.int64)
@@ -311,8 +314,8 @@ def cancellation_experiment(d: int, trials: int,
                 agree = sub[:, s - 1 - np.arange(m)] == -w[: m]
                 cancels[mask] = np.logical_and.accumulate(agree, axis=1).sum(axis=1)
             exceed += int((cancels > math.log2(s)).sum())
-            if kept_here < keep_samples:
-                take = cancels[: keep_samples - kept_here]
+            if kept_here < KEEP_SAMPLES:
+                take = cancels[: KEEP_SAMPLES - kept_here]
                 kept.extend((s, int(c)) for c in take)
                 kept_here += len(take)
             done += batch

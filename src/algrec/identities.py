@@ -89,14 +89,11 @@ def nilpotent_identity_grid(k_values: Iterable[int],
                             m_values: Iterable[int]) -> NilpotentGridResult:
     """Run nilpotent_identity_check over a full (k1..k4, n, m) grid.
 
-    Same group law as nilpotent_identity_check, evaluated on raw integer
-    triples with powers shared across the grid so that large grids finish
-    in well under a second. One row per case, in (k1, k2, k3, k4, n, m)
-    order.
+    Multiplies raw payload triples with the Heisenberg group law, with
+    powers shared across the grid so that large grids finish in well under
+    a second. One row per case, in (k1, k2, k3, k4, n, m) order.
     """
-
-    def mul(p, q):
-        return (p[0] + q[0], p[1] + q[1], p[2] + q[2] + p[0] * q[1])
+    mul = _H.mul
 
     def powers(base, upto):
         acc = (0, 0, 0)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from algrec import closure, freestats, groups as G
+from algrec import closure, experiments, freestats, groups as G
 from algrec.cli import main
 from algrec.config import (
     ConfigError,
@@ -121,11 +121,44 @@ def test_parse_errors_carry_field_paths():
             ("[budget]\nmax_products = 0\n", "budget.max_products"),
             ("[walk]\nsteps = 200\neval_steps = 20,200\ntail_index = 50\n",
              "walk.tail_index"),
-            ("[walk]\nsteps = 10\ntail_index = 11\n", "walk.tail_index")]:
+            ("[walk]\nsteps = 10\ntail_index = 11\n", "walk.tail_index"),
+            ("[nilpotent]\nk_min = 2\nk_max = 1\n", "nilpotent.k_min")]:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert str(err.value).startswith(path)
     parse_config("[walk]\nsteps = 200\neval_steps = 20,200\ntail_index = 20\n")
+
+
+#: Every declared lower bound; a tuple field's bound holds for each entry.
+DECLARED_BOUNDS = {
+    "budget.coverage_radius": 0, "budget.max_elements": 1,
+    "budget.max_products": 1, "budget.radius": 1,
+    "free.excursions": 1, "free.lengths": 1, "free.pool_length": 1,
+    "free.pool_size": 1, "free.trials": 1,
+    "measure.cutoff": 1,
+    "nilpotent.m_max": 1, "nilpotent.n_max": 1,
+    "run.seeds": 0,
+    "walk.steps": 0, "walk.tail_index": 1,
+    "witness.max_k": 1,
+}
+
+
+def test_declared_bounds_listed():
+    declared = {f.metadata["key"]: f.metadata["min"]
+                for f in fields(ScenarioConfig) if f.metadata["min"] is not None}
+    assert declared == DECLARED_BOUNDS
+
+
+@pytest.mark.parametrize("path", sorted(DECLARED_BOUNDS))
+def test_value_below_declared_bound_rejected(path):
+    section, key = path.split(".")
+    low = DECLARED_BOUNDS[path]
+    parse_config(f"[{section}]\n{key} = {low}\n")
+    bad = f"{low},{low - 1}" if path in ("free.lengths", "run.seeds") \
+        else f"{low - 1}"
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"[{section}]\n{key} = {bad}\n")
+    assert str(err.value) == f"{path}: must be >= {low}"
 
 
 def test_explicit_measure_built_from_atoms():
@@ -418,13 +451,51 @@ def test_experiment_configs_load(path):
     assert load_config(str(path)).seeds
 
 
-def test_threads_env_fallback(monkeypatch):
-    from algrec.experiments import resolve_threads
-    monkeypatch.delenv("ALGREC_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    monkeypatch.setenv("ALGREC_THREADS", "4")
-    assert resolve_threads(None) == 4
-    assert resolve_threads(2) == 2
+def test_threads_flag(tmp_path, monkeypatch, capsys):
+    seen = []
+    real = experiments.map_seeds
+
+    def spy(fn, seeds, threads=1):
+        seen.append(threads)
+        return real(fn, seeds, threads)
+
+    monkeypatch.setattr(experiments, "map_seeds", spy)
+    cfg = write_config(tmp_path, WALK_CFG)
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--threads", "2"]) == 0
+    assert seen == [1, 2]
+    out = tmp_path / "c"
+    assert main(["walk", "--config", cfg, "--out", str(out),
+                 "--threads", "0"]) == 2
+    assert "config error: --threads: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, path", [
+    ("nilpotent-check", "[nilpotent]\nk_min = 2\nk_max = 1\n",
+     "nilpotent.k_min"),
+    ("nilpotent-check", "[nilpotent]\nn_max = 0\n", "nilpotent.n_max"),
+    ("walk", WALK_CFG.replace("seeds = 1,2", "seeds = 1,-2"), "run.seeds"),
+    ("free-stats", FREE_CFG + "pool_size = 0\n", "free.pool_size"),
+    ("witness-check", "[witness]\nmax_k = 0\n", "witness.max_k"),
+], ids=["k_min-above-k_max", "n_max", "seeds", "pool_size", "max_k"])
+def test_cli_invalid_setting_fails_before_writing(tmp_path, capsys, command,
+                                                  text, path):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, text),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+    assert not out.exists()
+
+
+def test_cli_seed_override_validated(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["walk", "--config", write_config(tmp_path, WALK_CFG),
+                 "--out", str(out), "--seed", "1", "--seed", "-2"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: run.seeds: must be >= 0")
+    assert not out.exists()
 
 
 GOLDEN_CFG = """
