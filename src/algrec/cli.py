@@ -43,7 +43,7 @@ from .identities import (
 )
 from .lattice import classify_subsemigroup
 from .manifest import RunManifest, write_csv
-from .measures import first_asymmetric_atom
+from .measures import SymmetricMeasure
 from .walks import generate_walk, write_positions_csv, write_trace
 
 EXIT_OK = 0
@@ -51,7 +51,7 @@ EXIT_CONFIG = 2
 EXIT_NO_RESULT = 3
 
 
-def _prepare(args) -> tuple[ScenarioConfig, dict, Path, int]:
+def _load(args) -> ScenarioConfig:
     """The config file (or the defaults) with the flag overrides applied,
     validated like a file before any output is written."""
     config = load_config(args.config) if args.config else ScenarioConfig()
@@ -64,15 +64,28 @@ def _prepare(args) -> tuple[ScenarioConfig, dict, Path, int]:
     validate_config(config)
     if args.threads < 1:
         raise ConfigError("--threads", "must be >= 1")
+    return config
+
+
+def _tail_measure(config: ScenarioConfig, command: str) -> SymmetricMeasure:
+    """The measure of a command that reads a walk's tail, so needs a step;
+    like every walking command's, it is built before any output is written."""
+    if config.steps < 1:
+        raise ConfigError("walk.steps", f"must be >= 1 for {command}")
+    return build_measure(config)
+
+
+def _open_output(config: ScenarioConfig) -> tuple[dict, Path]:
+    """The output directory, created, and the metadata its files carry."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = {"config": config_hash(config)}
-    return config, meta, out_dir, args.threads
+    return {"config": config_hash(config)}, out_dir
 
 
 def cmd_walk(args) -> int:
-    config, meta, out_dir, threads = _prepare(args)
+    config = _load(args)
     measure = build_measure(config)
+    meta, out_dir = _open_output(config)
     manifest = RunManifest("walk", meta["config"], config.seeds)
 
     def one(seed: int):
@@ -86,7 +99,7 @@ def cmd_walk(args) -> int:
 
     for seed, (trace_path, csv_path, elapsed) in zip(
             config.seeds,
-            experiments.map_seeds(one, config.seeds, threads)):
+            experiments.map_seeds(one, config.seeds, args.threads)):
         manifest.add_file(trace_path)
         manifest.add_file(csv_path)
         manifest.record_time(f"seed{seed}", elapsed)
@@ -101,8 +114,9 @@ def _budget(config: ScenarioConfig) -> ClosureBudget:
 
 
 def cmd_closure(args) -> int:
-    config, meta, out_dir, threads = _prepare(args)
-    measure = build_measure(config)
+    config = _load(args)
+    measure = _tail_measure(config, "closure")
+    meta, out_dir = _open_output(config)
     budget = _budget(config)
     manifest = RunManifest("closure", meta["config"], config.seeds)
 
@@ -117,7 +131,7 @@ def cmd_closure(args) -> int:
         return dump_path, report_path, time.perf_counter() - start
 
     for seed, (dump_path, report_path, elapsed) in zip(
-            config.seeds, experiments.map_seeds(one, config.seeds, threads)):
+            config.seeds, experiments.map_seeds(one, config.seeds, args.threads)):
         manifest.add_file(dump_path)
         manifest.add_file(report_path)
         manifest.record_time(f"seed{seed}", elapsed)
@@ -127,18 +141,15 @@ def cmd_closure(args) -> int:
 
 
 def cmd_ar_estimate(args) -> int:
-    config, meta, out_dir, threads = _prepare(args)
-    measure = build_measure(config)
-    offending = first_asymmetric_atom(measure)
-    if offending is not None:
-        raise ConfigError("measure",
-                          f"not symmetric at atom {format_element(offending)}")
+    config = _load(args)
+    measure = _tail_measure(config, "ar-estimate")
+    meta, out_dir = _open_output(config)
     budget = _budget(config)
     radius = config.effective_coverage_radius()
     start = time.perf_counter()
     rows = experiments.coverage_survey(
         measure, config.steps, config.effective_eval_steps(),
-        config.tail_index, budget, radius, config.seeds, threads)
+        config.tail_index, budget, radius, config.seeds, args.threads)
     elapsed = time.perf_counter() - start
     path = out_dir / "ar_coverage.csv"
     write_csv(path, {**meta, "group": config.group, "radius": radius},
@@ -199,11 +210,12 @@ def cmd_lattice_classify(args) -> int:
 
 
 def cmd_free_stats(args) -> int:
-    config, meta, out_dir, threads = _prepare(args)
+    config = _load(args)
     if config.group.kind != "Free":
         raise ConfigError("group.kind", "free-stats requires a Free(d) group")
     d = config.group.rank
-    measure = build_measure(config)
+    measure = _tail_measure(config, "free-stats")
+    meta, out_dir = _open_output(config)
     budget = _budget(config)
     manifest = RunManifest("free-stats", meta["config"], config.seeds)
 
@@ -228,7 +240,7 @@ def cmd_free_stats(args) -> int:
                    check.holds, f"{profile.slope:.6f}"]
         return vj_path, growth_path, summary, time.perf_counter() - start
 
-    results = experiments.map_seeds(one, config.seeds, threads)
+    results = experiments.map_seeds(one, config.seeds, args.threads)
     summary_rows = []
     for seed, (vj_path, growth_path, summary, elapsed) in zip(config.seeds, results):
         manifest.add_file(vj_path)
@@ -270,7 +282,8 @@ def cmd_free_stats(args) -> int:
 
 
 def cmd_nilpotent_check(args) -> int:
-    config, meta, out_dir, _ = _prepare(args)
+    config = _load(args)
+    meta, out_dir = _open_output(config)
     grid = nilpotent_identity_grid(range(config.k_min, config.k_max + 1),
                                    range(1, config.n_max + 1),
                                    range(1, config.m_max + 1))
@@ -286,7 +299,8 @@ def cmd_nilpotent_check(args) -> int:
 
 
 def cmd_witness_check(args) -> int:
-    config, meta, out_dir, _ = _prepare(args)
+    config = _load(args)
+    meta, out_dir = _open_output(config)
     lines = []
     code = EXIT_OK
     if config.witness_mode == "torsion":

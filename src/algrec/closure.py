@@ -59,6 +59,7 @@ from .groups import (
     multiply,
     word_length_within,
 )
+from .manifest import metadata_lines
 from .walks import TriePositions, WalkTrace
 
 #: Largest ball, in elements, whose products the store memoises.
@@ -325,9 +326,7 @@ def write_closure_dump(result: ClosureResult, path: str | Path,
     header = (f"# closure group={result.descriptor} generators={gen_range[0]}..{gen_range[1]} "
               f"radius={result.radius} exhausted={result.exhausted} "
               f"products={result.products_performed} count={len(result.elements)}")
-    lines = [header]
-    for key in sorted(meta or {}):
-        lines.append(f"# {key}={meta[key]}")
+    lines = [header, *metadata_lines(meta)]
     lines.extend(format_element(g) for g in result.sorted_elements)
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -335,9 +334,7 @@ def write_closure_dump(result: ClosureResult, path: str | Path,
 def write_witness_report_csv(report: InverseWitnessReport, path: str | Path,
                              meta: dict | None = None) -> None:
     """CSV rows (i, membership of X_i^-1, word length of X_i or blank)."""
-    lines = []
-    for key in sorted(meta or {}):
-        lines.append(f"# {key}={meta[key]}")
+    lines = metadata_lines(meta)
     summary = (f"# present={report.present} absent={report.absent} "
                f"unknown={report.unknown}")
     lines.append(summary)

@@ -18,9 +18,16 @@ from fractions import Fraction
 from itertools import groupby
 from typing import get_type_hints
 
-from .groups import GroupDescriptor, parse_descriptor, parse_element, zpower
+from .groups import (
+    GroupDescriptor,
+    format_element,
+    parse_descriptor,
+    parse_element,
+    zpower,
+)
 from .measures import (
     SymmetricMeasure,
+    first_asymmetric_atom,
     heavy_tail_measure_z2,
     make_measure,
     uniform_standard_measure,
@@ -200,12 +207,17 @@ def validate_config(config: ScenarioConfig) -> None:
 
 
 def build_measure(config: ScenarioConfig) -> SymmetricMeasure:
+    """The config's step measure; ConfigError, naming the field, when the
+    measure settings do not give a symmetric measure on the group."""
     if config.measure_kind == "standard":
         return uniform_standard_measure(config.group)
     if config.measure_kind == "heavy-tail":
         if config.group != zpower(2):
             raise ConfigError("measure.kind",
                               "heavy-tail measure requires group ZPower(2)")
+        if config.heavy_alpha <= 1:
+            raise ConfigError("measure.alpha",
+                              "must be > 1 for a heavy-tail measure")
         return heavy_tail_measure_z2(float(config.heavy_alpha),
                                      config.heavy_cutoff,
                                      config.heavy_minor_weight)
@@ -213,4 +225,9 @@ def build_measure(config: ScenarioConfig) -> SymmetricMeasure:
         raise ConfigError("measure.atoms", "explicit measure needs atoms")
     atoms = [(parse_element(config.group, el), w)
              for el, w in config.explicit_atoms]
-    return make_measure(config.group, atoms)
+    measure = make_measure(config.group, atoms)
+    offending = first_asymmetric_atom(measure)
+    if offending is not None:
+        raise ConfigError("measure.atoms",
+                          f"not symmetric at atom {format_element(offending)}")
+    return measure

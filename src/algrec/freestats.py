@@ -1,6 +1,6 @@
-"""Statistics over free-group walks: prefix tries, the biased reflected
-level walk and its return probability, cancellation experiments, and sphere
-growth profiles of truncated closures.
+"""Statistics over free-group walks: prefix tries, the return probability
+of the biased level walk, cancellation experiments, and sphere growth
+profiles of truncated closures.
 
 Logarithms are base 2 throughout. Comparisons of integer counts against
 log2(j) are done exactly via 2**count <= j.
@@ -9,23 +9,19 @@ log2(j) are done exactly via 2**count <= j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .closure import ClosureResult
-from .groups import GroupElement, free, word_length
+from .groups import free, word_length
 from .measures import SymmetricMeasure, uniform_standard_measure
 from .walks import PrefixTrie, TriePositions, WalkTrace, sample_atom_indices
 
-#: Levels below the walk's maximum whose visit counts may still grow.
-CENSOR_MARGIN = 64
 #: Levels above the start at which an excursion counts as an escape.
 EXCURSION_CUTOFF = 64
-#: Raw (length, cancellation) pairs kept per word length.
-KEEP_SAMPLES = 1000
 #: Trials drawn per batch in cancellation_experiment.
 CANCEL_CHUNK = 20_000
 
@@ -103,7 +99,7 @@ def smallest_passing_j0(stats: PrefixStats) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The biased reflected level walk
+# The biased level walk
 
 def return_probability(d: int) -> Fraction:
     """Exact 2d / ((2d)^2 - 2d + 1), checked against its fixed-point equation."""
@@ -115,66 +111,6 @@ def return_probability(d: int) -> Fraction:
     if lhs != p:
         raise ArithmeticError("closed form does not solve the fixed-point equation")
     return p
-
-
-@dataclass(frozen=True)
-class ReflectedWalkStats:
-    """Visit counts of the level walk on Z>=0 biased (2d-1)/2d up, 1/2d down.
-
-    V_j counts arrivals at level j from below; a level is revisited when the
-    walk later drops to j-1 and climbs back. Reflection at 0 forces an
-    up-step. Levels within CENSOR_MARGIN of the maximum reached are
-    excluded from the pooled statistics since their counts may still grow.
-    """
-
-    d: int
-    steps: int
-    seed: int
-    visits: dict[int, int]
-    final_level: int
-    max_level: int
-
-    @property
-    def complete_levels(self) -> list[int]:
-        top = self.max_level - CENSOR_MARGIN
-        return [j for j in sorted(self.visits) if 1 <= j <= top]
-
-    def mean_visits(self, lo: int, hi: int) -> float:
-        levels = [j for j in range(lo, hi + 1)]
-        if not levels:
-            return 0.0
-        return sum(self.visits.get(j, 0) for j in levels) / len(levels)
-
-    @property
-    def fitted_geometric_p(self) -> float:
-        """MLE of the re-arrival probability from the per-level visit counts."""
-        counts = [self.visits[j] for j in self.complete_levels]
-        total = sum(counts)
-        if total == 0:
-            return 0.0
-        return 1.0 - len(counts) / total
-
-
-def reflected_biased_walk(d: int, steps: int, seed: int) -> ReflectedWalkStats:
-    """Simulate the level walk and tabulate per-level arrival counts."""
-    if d < 1 or steps < 0:
-        raise ValueError("need d >= 1 and steps >= 0")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    two_d = 2 * d
-    threshold = round(Fraction(two_d - 1, two_d) * (1 << 64))
-    ups = rng.integers(0, 1 << 64, size=steps, dtype=np.uint64) < threshold
-    level = 0
-    max_level = 0
-    visits: dict[int, int] = {}
-    for up in ups:
-        if up or level == 0:
-            level += 1
-            visits[level] = visits.get(level, 0) + 1
-            if level > max_level:
-                max_level = level
-        else:
-            level -= 1
-    return ReflectedWalkStats(d, steps, seed, visits, level, max_level)
 
 
 def return_excursion_estimate(d: int, excursions: int, seed: int) -> float:
@@ -207,21 +143,6 @@ def return_excursion_estimate(d: int, excursions: int, seed: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Cancellation
-
-def cancel(x: GroupElement, y: GroupElement) -> int:
-    """Number of letters cancelled in the product of reduced words x * y."""
-    if x.descriptor != y.descriptor or x.descriptor.kind != "Free":
-        raise ValueError("cancel needs two words from one free group")
-    return _cancel_words(x.payload, y.payload)
-
-
-def _cancel_words(u: Sequence[int], v: Sequence[int]) -> int:
-    c = 0
-    limit = min(len(u), len(v))
-    while c < limit and u[len(u) - 1 - c] == -v[c]:
-        c += 1
-    return c
-
 
 def random_reduced_words(d: int, length: int, count: int,
                          rng: np.random.Generator) -> np.ndarray:
@@ -261,26 +182,23 @@ class ExceedanceRow:
 
 @dataclass(frozen=True)
 class CancellationSample:
-    """Sampled (word length, cancellation) pairs plus the exceedance table."""
+    """The exceedance table of a cancellation experiment."""
 
     d: int
     seed: int
-    pool: tuple[tuple[int, ...], ...]
-    lengths: tuple[int, ...] = field(default=())
-    samples: tuple[tuple[int, int], ...] = field(default=())
-    table: tuple[ExceedanceRow, ...] = field(default=())
+    table: tuple[ExceedanceRow, ...]
 
 
 def cancellation_experiment(d: int, trials: int, pool: Sequence[Sequence[int]],
                             seed: int, lengths: Sequence[int] = (16, 64, 256)
                             ) -> CancellationSample:
-    """Estimate Pr(cancel(X, w) > log2 s) for uniform reduced X of length s.
+    """Estimate Pr(cancel(X, w) > log2 s) for uniform reduced X of length s,
+    where cancel(X, w) counts the letters cancelled in the product X * w.
 
     Each trial pairs a fresh X with a pool word chosen uniformly; the
     exceedance count per length is compared against the analytic bound
     (2d-1)**(-log2 s) by the caller. Pool words are signed-letter tuples.
-    Trials are processed in chunks of CANCEL_CHUNK to bound memory; only
-    the first KEEP_SAMPLES raw pairs per length are retained.
+    Trials are processed in chunks of CANCEL_CHUNK to bound memory.
     """
     if trials < 1 or not pool:
         raise ValueError("need trials >= 1 and a nonempty pool")
@@ -294,10 +212,8 @@ def cancellation_experiment(d: int, trials: int, pool: Sequence[Sequence[int]],
         words.append(np.array(letters, dtype=np.int16))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     rows = []
-    kept: list[tuple[int, int]] = []
     for s in lengths:
         exceed = 0
-        kept_here = 0
         done = 0
         while done < trials:
             batch = min(CANCEL_CHUNK, trials - done)
@@ -314,14 +230,9 @@ def cancellation_experiment(d: int, trials: int, pool: Sequence[Sequence[int]],
                 agree = sub[:, s - 1 - np.arange(m)] == -w[: m]
                 cancels[mask] = np.logical_and.accumulate(agree, axis=1).sum(axis=1)
             exceed += int((cancels > math.log2(s)).sum())
-            if kept_here < KEEP_SAMPLES:
-                take = cancels[: KEEP_SAMPLES - kept_here]
-                kept.extend((s, int(c)) for c in take)
-                kept_here += len(take)
             done += batch
         rows.append(ExceedanceRow(s, trials, exceed))
-    return CancellationSample(d, seed, tuple(tuple(int(x) for x in w) for w in words),
-                              tuple(lengths), tuple(kept), tuple(rows))
+    return CancellationSample(d, seed, tuple(rows))
 
 
 def cancellation_bound(d: int, s: int) -> float:

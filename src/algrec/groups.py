@@ -364,11 +364,6 @@ class GroupElement:
         return format_element(self)
 
 
-def canonicalize_payload(descriptor: GroupDescriptor, payload: Any) -> Any:
-    """Return the canonical payload for a raw payload of the right shape."""
-    return descriptor.canonicalize(payload)
-
-
 def make_element(descriptor: GroupDescriptor, payload: Any) -> GroupElement:
     """Validating constructor: canonicalizes the payload first."""
     return GroupElement(descriptor, descriptor.canonicalize(payload))
@@ -404,11 +399,6 @@ def power(a: GroupElement, n: int) -> GroupElement:
         base = multiply(base, base)
         n >>= 1
     return result
-
-
-def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
-    """[a, b] = a^-1 b^-1 a b."""
-    return multiply(multiply(invert(a), invert(b)), multiply(a, b))
 
 
 def standard_generators(descriptor: GroupDescriptor) -> tuple[GroupElement, ...]:
@@ -456,12 +446,6 @@ def ball_distances(descriptor: GroupDescriptor, radius: int) -> dict[Any, int]:
             break
     with _BALL_LOCK:
         return _BALL_CACHE.setdefault(key, dist)
-
-
-def ball_elements(descriptor: GroupDescriptor, radius: int) -> list[GroupElement]:
-    """All elements with word length <= radius, sorted canonically."""
-    return sorted((GroupElement(descriptor, p)
-                   for p in ball_distances(descriptor, radius)), key=canonical_key)
 
 
 def ball_size(descriptor: GroupDescriptor, radius: int) -> int:

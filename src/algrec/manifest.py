@@ -43,11 +43,15 @@ class RunManifest:
         return path
 
 
+def metadata_lines(meta: dict | None) -> list[str]:
+    """One '# key=value' line per metadata entry, sorted by key."""
+    return [f"# {key}={meta[key]}" for key in sorted(meta or {})]
+
+
 def write_csv(path: str | Path, meta: dict, header: list[str], rows) -> None:
     """CSV with sorted '#'-prefixed metadata lines, then one header row."""
     with open(path, "w", newline="") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
+        fh.writelines(line + "\n" for line in metadata_lines(meta))
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

@@ -7,17 +7,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from .groups import (
-    DEFAULT_WORD_LENGTH_CAP,
     GroupDescriptor,
     GroupElement,
-    ball_elements,
     canonical_key,
     format_element,
     invert,
     make_element,
-    multiply,
     standard_generators,
-    word_length_within,
     zpower,
 )
 
@@ -73,7 +69,7 @@ def make_measure(descriptor: GroupDescriptor,
 
     Duplicate elements are merged, weights must be positive rationals
     summing to exactly 1. Symmetry is not forced here; use
-    validate_symmetric to check it.
+    first_asymmetric_atom to check it.
     """
     merged: dict[GroupElement, Fraction] = {}
     for g, w in weighted_atoms:
@@ -135,36 +131,6 @@ def heavy_tail_measure_z2(alpha: float, cutoff: int,
     return make_measure(desc, atoms)
 
 
-@dataclass(frozen=True)
-class MeasureValidation:
-    """Outcome of validate_symmetric."""
-
-    symmetric: bool
-    offending_atom: GroupElement | None
-    ball_radius: int
-    ball_covered: bool
-    missing_element: GroupElement | None
-
-    @property
-    def ok(self) -> bool:
-        return self.symmetric and self.ball_covered
-
-
-def validate_symmetric(measure: SymmetricMeasure,
-                       ball_radius: int) -> MeasureValidation:
-    """Check weight symmetry exactly and ball coverage of the support group.
-
-    The generation check is necessarily bounded: it reports whether products
-    of support atoms reach every element of the standard ball of the given
-    radius, exploring products up to a slack radius. A False here means
-    "not covered within the budget", not a proof of non-generation.
-    """
-    offending = first_asymmetric_atom(measure)
-    covered, missing = _support_covers_ball(measure, ball_radius)
-    return MeasureValidation(offending is None, offending, ball_radius,
-                             covered, missing)
-
-
 def first_asymmetric_atom(measure: SymmetricMeasure) -> GroupElement | None:
     """The first atom g, in canonical order, with mu(g) != mu(g^-1), or None."""
     weights = measure.weight_by_element
@@ -172,31 +138,3 @@ def first_asymmetric_atom(measure: SymmetricMeasure) -> GroupElement | None:
         if weights.get(invert(g)) != w:
             return g
     return None
-
-
-def _support_covers_ball(measure: SymmetricMeasure, radius: int):
-    desc = measure.descriptor
-    support = measure.support
-    max_len = 0
-    for g in support:
-        n = word_length_within(g, DEFAULT_WORD_LENGTH_CAP)
-        if n is None:
-            n = DEFAULT_WORD_LENGTH_CAP
-        max_len = max(max_len, n)
-    slack = min(radius + 2 * max_len, desc.length_cap)
-    target = set(ball_elements(desc, radius))
-    reached = set(support)
-    frontier = list(support)
-    budget = 200_000
-    while frontier and budget > 0 and not target <= reached:
-        g = frontier.pop()
-        for s in support:
-            budget -= 1
-            h = multiply(g, s)
-            if h not in reached and word_length_within(h, slack) is not None:
-                reached.add(h)
-                frontier.append(h)
-    missing = sorted(target - reached, key=canonical_key)
-    if missing:
-        return False, missing[0]
-    return True, None

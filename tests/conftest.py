@@ -19,6 +19,13 @@ SMALL_DESCRIPTORS = (
 )
 
 
+def ball_elements(descriptor: G.GroupDescriptor, radius: int) -> list[G.GroupElement]:
+    """All elements with word length <= radius, sorted canonically."""
+    return sorted((G.GroupElement(descriptor, p)
+                   for p in G.ball_distances(descriptor, radius)),
+                  key=G.canonical_key)
+
+
 def elements(descriptor: G.GroupDescriptor, size: int = 6) -> st.SearchStrategy:
     """Arbitrary canonical elements of one group, of bounded complexity."""
     kind = descriptor.kind

@@ -158,6 +158,19 @@ def worklist_closure(gens: list[GroupElement], budget
 
 
 # ---------------------------------------------------------------------------
+# Free-group cancellation
+
+def cancel(x: GroupElement, y: GroupElement) -> int:
+    """Number of letters cancelled in the product of reduced words x * y,
+    the count cancellation_experiment takes on whole arrays of words."""
+    u, v = x.payload, y.payload
+    c = 0
+    while c < min(len(u), len(v)) and u[len(u) - 1 - c] == -v[c]:
+        c += 1
+    return c
+
+
+# ---------------------------------------------------------------------------
 # Quadratic prefix recount
 
 def quadratic_prefix_counts(trace) -> dict[int, int]:

@@ -133,8 +133,7 @@ def test_monotonicity_random(gens, extra):
     (G.lamplighter_z(), [(1, ()), (-1, (0,)), (0, (0,))], 4),
 ], ids=lambda v: str(v)[:24])
 def test_semigroup_property_at_exhaustion(descriptor, gen_payloads, radius):
-    gens = [G.GroupElement(descriptor, G.canonicalize_payload(descriptor, p))
-            for p in gen_payloads]
+    gens = [G.make_element(descriptor, p) for p in gen_payloads]
     result = closure(gens, ClosureBudget(radius=radius))
     assert result.exhausted
     for x in result.elements:

@@ -472,6 +472,12 @@ def test_threads_flag(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+ASYMMETRIC_Z = "[measure]\nkind = explicit\natoms = (1):2/3 | (-1):1/3\n"
+ASYMMETRIC_F2 = ("[group]\nkind = Free(2)\n[measure]\nkind = explicit\n"
+                 "atoms = x1:1/2 | X1:1/4 | x2:1/8 | X2:1/8\n")
+HEAVY_TAIL_Z2 = "[group]\nkind = ZPower(2)\n[measure]\nkind = heavy-tail\n"
+
+
 @pytest.mark.parametrize("command, text, path", [
     ("nilpotent-check", "[nilpotent]\nk_min = 2\nk_max = 1\n",
      "nilpotent.k_min"),
@@ -479,7 +485,21 @@ def test_threads_flag(tmp_path, monkeypatch, capsys):
     ("walk", WALK_CFG.replace("seeds = 1,2", "seeds = 1,-2"), "run.seeds"),
     ("free-stats", FREE_CFG + "pool_size = 0\n", "free.pool_size"),
     ("witness-check", "[witness]\nmax_k = 0\n", "witness.max_k"),
-], ids=["k_min-above-k_max", "n_max", "seeds", "pool_size", "max_k"])
+    ("closure", "[walk]\nsteps = 0\n", "walk.steps"),
+    ("ar-estimate", "[walk]\nsteps = 0\n", "walk.steps"),
+    ("free-stats", FREE_CFG.replace("steps = 400", "steps = 0"), "walk.steps"),
+    ("walk", HEAVY_TAIL_Z2 + "alpha = 1\n", "measure.alpha"),
+    ("walk", "[measure]\nkind = heavy-tail\n", "measure.kind"),
+    ("free-stats", "[group]\nkind = ZPower(2)\n", "group.kind"),
+    ("walk", ASYMMETRIC_Z, "measure.atoms"),
+    ("closure", ASYMMETRIC_Z, "measure.atoms"),
+    ("ar-estimate", ASYMMETRIC_Z, "measure.atoms"),
+    ("free-stats", ASYMMETRIC_F2, "measure.atoms"),
+], ids=["k_min-above-k_max", "n_max", "seeds", "pool_size", "max_k",
+        "closure-no-steps", "ar-estimate-no-steps", "free-stats-no-steps",
+        "heavy-tail-alpha", "heavy-tail-z1", "free-stats-z2",
+        "walk-asymmetric", "closure-asymmetric", "ar-estimate-asymmetric",
+        "free-stats-asymmetric"])
 def test_cli_invalid_setting_fails_before_writing(tmp_path, capsys, command,
                                                   text, path):
     out = tmp_path / "out"
@@ -487,6 +507,14 @@ def test_cli_invalid_setting_fails_before_writing(tmp_path, capsys, command,
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}: ")
     assert not out.exists()
+
+
+def test_cli_walk_runs_with_no_steps(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "[walk]\nsteps = 0\n")
+    assert main(["walk", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "trace_seed1.txt").read_text().startswith(
+        "# trace group=ZPower(1) seed=1 steps=0")
 
 
 def test_cli_seed_override_validated(tmp_path, capsys):

@@ -10,13 +10,11 @@ from algrec.closure import ClosureBudget, closure
 from algrec.freestats import (
     LogBoundCheck,
     PrefixStats,
-    cancel,
     cancellation_bound,
     cancellation_experiment,
     log_bound_check,
     prefix_counts,
     random_reduced_words,
-    reflected_biased_walk,
     return_excursion_estimate,
     return_probability,
     smallest_passing_j0,
@@ -25,7 +23,7 @@ from algrec.freestats import (
 )
 from algrec.measures import make_measure, uniform_standard_measure
 from algrec.walks import WalkTrace, generate_walk, trace_from_increments
-from oracles import quadratic_prefix_counts
+from oracles import cancel, quadratic_prefix_counts
 
 
 def f_el(d, letters):
@@ -161,37 +159,11 @@ def test_return_probability_fixed_point_range():
         assert p == Fraction(1, two_d) * (1 + Fraction(two_d - 1, two_d) * p)
 
 
-def test_reflected_walk_never_negative_and_zero_steps():
-    stats = reflected_biased_walk(5, 0, seed=1)
-    assert stats.visits == {}
-    assert stats.final_level == 0
-    longer = reflected_biased_walk(5, 5000, seed=1)
-    assert min(longer.visits) >= 1
-    assert longer.final_level >= 0
-
-
-def test_reflected_walk_mean_visits_near_geometric_mean():
-    # Average of mean visit counts over ten pinned seeds, levels 1..50.
-    target = 1 / (1 - 10 / 91)  # 91/81
-    means = [reflected_biased_walk(5, 10 ** 6, seed=s).mean_visits(1, 50)
-             for s in range(1, 11)]
-    grand = sum(means) / len(means)
-    assert abs(grand - target) <= 0.05 * target
-
-
 def test_return_excursion_estimates_pinned_seeds():
     exact = float(Fraction(10, 91))
     for seed in (1, 2, 3):
         estimate = return_excursion_estimate(5, 10 ** 5, seed)
         assert abs(estimate - exact) <= 0.01
-
-
-def test_reflected_walk_visit_counts_consistent():
-    stats = reflected_biased_walk(3, 200_000, seed=8)
-    # every level up to the max was entered at least once from below
-    for j in range(1, stats.max_level + 1):
-        assert stats.visits.get(j, 0) >= 1
-    assert 0 < stats.fitted_geometric_p < 1
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +237,21 @@ def test_cancellation_experiment_exceedance_under_bound():
     for row in sample.table:
         assert row.trials == 20_000
         assert row.empirical <= 3 * cancellation_bound(5, row.length)
-    assert all(0 <= c <= s for s, c in sample.samples)
+
+
+def test_cancellation_experiment_counts_match_oracle():
+    # One batch per length, so the draws can be replayed in the same order.
+    pool = [(1, 2, 1), (-2,), (2, -1, -1, 2)]
+    sample = cancellation_experiment(2, 600, pool, seed=5, lengths=(2, 4, 8))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+    for row in sample.table:
+        xs = random_reduced_words(2, row.length, 600, rng)
+        which = rng.integers(0, len(pool), size=600)
+        expected = sum(
+            cancel(f_el(2, [int(a) for a in x]), f_el(2, pool[w]))
+            > math.log2(row.length) for x, w in zip(xs, which))
+        assert row.exceed_count == expected
+    assert sample.table[0].exceed_count > 0
 
 
 def test_cancellation_experiment_validates_pool():

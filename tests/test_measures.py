@@ -3,13 +3,20 @@ from fractions import Fraction
 import pytest
 
 from algrec import groups as G
+from algrec.closure import ClosureBudget, closure, coverage_fraction
 from algrec.measures import (
+    first_asymmetric_atom,
     heavy_tail_measure_z2,
     make_measure,
     uniform_standard_measure,
-    validate_symmetric,
 )
 from conftest import SMALL_DESCRIPTORS
+
+
+def support_coverage(measure, radius):
+    """Fraction of ball(radius) that products of the support reach."""
+    result = closure(measure.support, ClosureBudget(radius=radius))
+    return coverage_fraction(result, radius)
 
 
 def test_uniform_free5():
@@ -49,8 +56,7 @@ def test_heavy_tail_quadratic_profile():
 def test_heavy_tail_always_symmetric():
     for alpha, cutoff in [(1.3, 3), (2, 5), (3.7, 2)]:
         mu = heavy_tail_measure_z2(alpha, cutoff, Fraction(1, 7))
-        report = validate_symmetric(mu, 1)
-        assert report.symmetric
+        assert first_asymmetric_atom(mu) is None
         assert sum(w for _, w in mu.atoms) == 1
 
 
@@ -60,28 +66,27 @@ def test_heavy_tail_rejects_bad_alpha():
 
 
 def test_validate_uniform_free2():
-    report = validate_symmetric(uniform_standard_measure(G.free(2)), 2)
-    assert report.ok and report.symmetric and report.ball_covered
+    mu = uniform_standard_measure(G.free(2))
+    assert first_asymmetric_atom(mu) is None
+    assert support_coverage(mu, 2) == 1
 
 
 def test_validate_flags_asymmetric_atom():
     z = G.zpower(1)
     mu = make_measure(z, [(G.make_element(z, (1,)), Fraction(2, 3)),
                           (G.make_element(z, (-1,)), Fraction(1, 3))])
-    report = validate_symmetric(mu, 2)
-    assert not report.symmetric
-    assert report.offending_atom.payload in ((1,), (-1,))
+    assert first_asymmetric_atom(mu).payload in ((1,), (-1,))
 
 
 def test_validate_even_support_misses_ball():
     z = G.zpower(1)
     mu = make_measure(z, [(G.make_element(z, (2,)), Fraction(1, 2)),
                           (G.make_element(z, (-2,)), Fraction(1, 2))])
-    report = validate_symmetric(mu, 3)
-    assert report.symmetric
-    assert not report.ball_covered
-    assert report.missing_element is not None
-    assert report.missing_element.payload[0] % 2 == 1
+    assert first_asymmetric_atom(mu) is None
+    result = closure(mu.support, ClosureBudget(radius=3))
+    assert result.exhausted
+    assert {g.payload[0] for g in result.elements} == {-2, 0, 2}
+    assert support_coverage(mu, 3) == Fraction(3, 7)
 
 
 def test_make_measure_rejects_bad_weights():
@@ -106,9 +111,9 @@ def test_make_measure_merges_duplicates():
 
 @pytest.mark.parametrize("descriptor", SMALL_DESCRIPTORS, ids=str)
 def test_uniform_measures_validate(descriptor):
-    report = validate_symmetric(uniform_standard_measure(descriptor), 2)
-    assert report.symmetric
-    assert report.ball_covered
+    mu = uniform_standard_measure(descriptor)
+    assert first_asymmetric_atom(mu) is None
+    assert support_coverage(mu, 2) == 1
 
 
 def test_atoms_sorted_canonically():
