@@ -298,16 +298,23 @@ def cmd_nilpotent_check(args) -> int:
     return EXIT_OK if grid.all_hold else EXIT_NO_RESULT
 
 
+def _parse_setting(group, text: str, key: str):
+    """parse_element, failing as a ConfigError that names the config key."""
+    try:
+        return parse_element(group, text)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
+
+
 def cmd_witness_check(args) -> int:
     config = _load(args)
-    meta, out_dir = _open_output(config)
     lines = []
     code = EXIT_OK
     if config.witness_mode == "torsion":
         if not config.witness_x or not config.witness_y:
             raise ConfigError("witness.x", "torsion mode needs x and y elements")
-        x = parse_element(config.group, config.witness_x)
-        y = parse_element(config.group, config.witness_y)
+        x = _parse_setting(config.group, config.witness_x, "witness.x")
+        y = _parse_setting(config.group, config.witness_y, "witness.y")
         found = torsion_inverse_witness(x, y, config.max_k)
         if found is None:
             lines.append(f"no witness: (xy)^k != identity for k <= {config.max_k}")
@@ -327,6 +334,7 @@ def cmd_witness_check(args) -> int:
         lines.append(f"x_copies: {cert.x_copies}")
         lines.append(f"combination_value: {cert.combination_value}")
         lines.append(f"holds: {cert.holds}")
+    meta, out_dir = _open_output(config)
     lines.insert(0, f"# config={meta['config']}")
     text = "\n".join(lines)
     print(text)

@@ -223,9 +223,12 @@ def build_measure(config: ScenarioConfig) -> SymmetricMeasure:
                                      config.heavy_minor_weight)
     if not config.explicit_atoms:
         raise ConfigError("measure.atoms", "explicit measure needs atoms")
-    atoms = [(parse_element(config.group, el), w)
-             for el, w in config.explicit_atoms]
-    measure = make_measure(config.group, atoms)
+    try:
+        measure = make_measure(config.group,
+                               [(parse_element(config.group, el), w)
+                                for el, w in config.explicit_atoms])
+    except ValueError as exc:
+        raise ConfigError("measure.atoms", str(exc)) from None
     offending = first_asymmetric_atom(measure)
     if offending is not None:
         raise ConfigError("measure.atoms",

@@ -12,6 +12,16 @@ count as half-space trapped with a weak inequality, so the positive
 certificate is returned only when the origin is interior to the hull. In
 that case the semigroup generated equals the group generated and the
 classification is exact.
+
+The half-space normal of a spanning set V is the primitive sum of the
+extreme rays of its dual cone C* = {n : n.v >= 0 for every v in V}, found
+by the double description method (Motzkin et al. 1953; Fukuda & Prodon
+1996) in integer arithmetic. Because V spans, C* is pointed, and its
+extreme rays are exactly the primitive normals of (d-1)-subsets of V that
+are nonnegative on all of V: a ray of C* is extreme when the vectors it is
+orthogonal to have rank d-1. So the normal is the sum over all valid subset
+normals, without enumerating the C(n, d-1) subsets. No extreme ray means
+C* = {0}: the origin is interior and a positive certificate is sought.
 """
 
 from __future__ import annotations
@@ -147,29 +157,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithDecomposition:
     )
 
 
-def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class LatticeBasisReport:
     """Rank, Smith diagonal and subgroup index for a set of integer vectors."""
@@ -290,31 +277,54 @@ class ZeroInHullWitness:
 ConeWitness = HalfSpaceWitness | ZeroInHullWitness
 
 
-def _separator_candidates(vecs: list[Vec], d: int) -> list[Vec]:
-    candidates: list[Vec] = []
-    seen: set[Vec] = set()
-    if d == 1:
-        subsets: list[tuple[int, ...]] = [()]
-    else:
-        subsets = list(itertools.combinations(range(len(vecs)), d - 1))
-    for subset in subsets:
-        rows = [vecs[i] for i in subset]
-        if d == 1:
-            normal: Vec | None = (1,)
-        else:
-            minors = []
-            for j in range(d):
-                sub = [[row[c] for c in range(d) if c != j] for row in rows]
-                minors.append((-1) ** j * integer_determinant(sub))
-            normal = tuple(minors)
-            if not any(normal):
-                continue
-            normal = _primitive(normal)
-        for cand in (normal, tuple(-x for x in normal)):
-            if cand not in seen:
-                seen.add(cand)
-                candidates.append(cand)
-    return candidates
+def _dual_extreme_rays(vecs: list[Vec], d: int) -> list[Vec]:
+    """Primitive extreme rays of the dual cone {n : n.v >= 0 for all v}.
+
+    Double description on a spanning set: start from the simplicial cone of
+    d independent vectors and add the other vectors one at a time. Each ray
+    carries its zero set, a bit mask of the vectors it is orthogonal to.
+    """
+    basis = _column_echelon(vecs)[1]
+    rays: list[Vec] = []
+    zeros: list[int] = []
+    for j in basis:
+        ray = _kernel_vector([vecs[i] for i in basis if i != j], d)
+        if _dot(ray, vecs[j]) < 0:
+            ray = tuple(-x for x in ray)
+        rays.append(ray)
+        zeros.append(sum(1 << i for i in basis if i != j))
+    skip = set(basis)
+    for k, v in enumerate(vecs):
+        if k in skip:
+            continue
+        dots = [_dot(r, v) for r in rays]
+        new_rays = [r for r, t in zip(rays, dots) if t >= 0]
+        new_zeros = [z | (1 << k if t == 0 else 0)
+                     for z, t in zip(zeros, dots) if t >= 0]
+        positive = [i for i, t in enumerate(dots) if t > 0]
+        negative = [i for i, t in enumerate(dots) if t < 0]
+        for p in positive:
+            for q in negative:
+                # Adjacent: the smallest face holding p and q holds no
+                # third ray. The count is a quick necessary condition.
+                common = zeros[p] & zeros[q]
+                if common.bit_count() < d - 2 or any(
+                        common & z == common
+                        for i, z in enumerate(zeros) if i != p and i != q):
+                    continue
+                new_rays.append(_primitive(tuple(
+                    dots[p] * b - dots[q] * a
+                    for a, b in zip(rays[p], rays[q]))))
+                new_zeros.append(common | 1 << k)
+        rays, zeros = new_rays, new_zeros
+        if not rays:
+            break
+    return rays
+
+
+def _check_normal(normal: Vec, vecs: Sequence[Vec]) -> None:
+    if not any(normal) or any(_dot(normal, v) < 0 for v in vecs):
+        raise ArithmeticError(f"normal {normal} does not bound the vectors")
 
 
 def zero_in_convex_hull(vectors: Sequence[Sequence[int]]) -> ConeWitness:
@@ -330,16 +340,16 @@ def zero_in_convex_hull(vectors: Sequence[Sequence[int]]) -> ConeWitness:
     nonzero = [v for v in dict.fromkeys(vecs) if any(v)]
     if not nonzero:
         return HalfSpaceWitness(tuple([1] + [0] * (d - 1)))
-    kernel = _kernel_vector(nonzero, d)
-    if kernel is not None:
-        return HalfSpaceWitness(kernel)
-    valid = [n for n in _separator_candidates(nonzero, d)
-             if all(_dot(n, v) >= 0 for v in nonzero)]
-    if valid:
-        # The set spans, so its dual cone is pointed: the sum of the valid
-        # normals is nonzero, and it is valid because each summand is.
-        return HalfSpaceWitness(_primitive(tuple(map(sum, zip(*valid)))))
-    return _positive_certificate(nonzero, d)
+    normal = _kernel_vector(nonzero, d)
+    if normal is None:
+        rays = _dual_extreme_rays(nonzero, d)
+        if not rays:
+            return _positive_certificate(nonzero, d)
+        # The set spans, so the dual cone is pointed: the sum of its extreme
+        # rays is nonzero, and it is valid because each summand is.
+        normal = _primitive(tuple(map(sum, zip(*rays))))
+    _check_normal(normal, nonzero)
+    return HalfSpaceWitness(normal)
 
 
 def _positive_certificate(vecs: list[Vec], d: int) -> ZeroInHullWitness:
@@ -473,8 +483,7 @@ def classify_subsemigroup(
     witness = zero_in_convex_hull(coords)
     if isinstance(witness, HalfSpaceWitness):
         normal = _lift_normal(basis, witness.normal)
-        if not all(_dot(normal, v) >= 0 for v in nonzero):
-            raise ArithmeticError("lifted normal does not bound the vectors")
+        _check_normal(normal, nonzero)
         return SubsemigroupClassification(IN_HALF_SPACE, normal=normal)
     report = subgroup_index(vecs)
     return SubsemigroupClassification(IN_PROPER_SUBGROUP, rank=report.rank,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from bisect import insort
 from collections import deque
 
@@ -29,6 +31,55 @@ def mat_mul(x: tuple, y: tuple) -> tuple:
 
 def matrix_to_heisenberg(m: tuple) -> GroupElement:
     return GroupElement(heisenberg(), (m[0][1], m[1][2], m[0][2]))
+
+
+# ---------------------------------------------------------------------------
+# Integer determinants and half-space normals by subset enumeration
+
+def integer_determinant(rows) -> int:
+    """Fraction-free Bareiss determinant of a square integer matrix."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def separator_normals(vecs) -> list[tuple[int, ...]]:
+    """Both signs of the primitive normal of every independent (d-1)-subset,
+    by cofactor expansion; for d = 1, (1,) and (-1,).
+
+    On a spanning set, the ones with n.v >= 0 for every v are the extreme
+    rays of the dual cone, the rays zero_in_convex_hull sums.
+    """
+    d = len(vecs[0])
+    normals: dict[tuple[int, ...], None] = {}
+    for rows in itertools.combinations(vecs, d - 1):
+        normal = tuple((-1) ** j * integer_determinant(
+            [[row[c] for c in range(d) if c != j] for row in rows])
+            for j in range(d))
+        if any(normal):
+            g = math.gcd(*normal)
+            normal = tuple(x // g for x in normal)
+            normals.setdefault(normal, None)
+            normals.setdefault(tuple(-x for x in normal), None)
+    return list(normals)
 
 
 # ---------------------------------------------------------------------------

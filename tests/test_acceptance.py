@@ -25,10 +25,9 @@ from algrec.identities import (
     torsion_inverse_witness,
     z_inverse_witness,
 )
-from algrec.lattice import FULL, classify_subsemigroup, smith_normal_form, \
-    integer_determinant
+from algrec.lattice import FULL, classify_subsemigroup, smith_normal_form
 from algrec.measures import uniform_standard_measure
-from oracles import GridClosure
+from oracles import GridClosure, integer_determinant
 
 import numpy as np
 

@@ -495,11 +495,20 @@ HEAVY_TAIL_Z2 = "[group]\nkind = ZPower(2)\n[measure]\nkind = heavy-tail\n"
     ("closure", ASYMMETRIC_Z, "measure.atoms"),
     ("ar-estimate", ASYMMETRIC_Z, "measure.atoms"),
     ("free-stats", ASYMMETRIC_F2, "measure.atoms"),
+    ("witness-check", "[witness]\nmode = torsion\n", "witness.x"),
+    ("witness-check", "[witness]\nx = (1)\ny = x1\n", "witness.y"),
+    ("witness-check", "[witness]\nmode = z-integer\nx = 1/2\ny = 3\n",
+     "witness.x"),
+    ("walk", "[measure]\nkind = explicit\natoms = (1):1/2 | (-1):1/4\n",
+     "measure.atoms"),
+    ("walk", "[measure]\nkind = explicit\natoms = x1:1/2 | X1:1/2\n",
+     "measure.atoms"),
 ], ids=["k_min-above-k_max", "n_max", "seeds", "pool_size", "max_k",
         "closure-no-steps", "ar-estimate-no-steps", "free-stats-no-steps",
         "heavy-tail-alpha", "heavy-tail-z1", "free-stats-z2",
         "walk-asymmetric", "closure-asymmetric", "ar-estimate-asymmetric",
-        "free-stats-asymmetric"])
+        "free-stats-asymmetric", "torsion-no-x-y", "torsion-unparsed-y",
+        "z-integer-not-integer", "explicit-weights-sum", "explicit-unparsed-atom"])
 def test_cli_invalid_setting_fails_before_writing(tmp_path, capsys, command,
                                                   text, path):
     out = tmp_path / "out"

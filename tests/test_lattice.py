@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +11,15 @@ from algrec.lattice import (
     IN_PROPER_SUBGROUP,
     HalfSpaceWitness,
     ZeroInHullWitness,
+    _check_normal,
+    _span_coordinates,
     _verify_certificate,
     classify_subsemigroup,
-    integer_determinant,
     smith_normal_form,
     subgroup_index,
     zero_in_convex_hull,
 )
-from oracles import GridClosure
+from oracles import GridClosure, integer_determinant, separator_normals
 
 
 def mat_mul(x, y):
@@ -133,6 +136,14 @@ def test_certificate_check_raises_on_a_set_that_does_not_span():
         _verify_certificate(witness, 2)
 
 
+def test_normal_check_raises_on_a_vector_below_or_a_zero_normal():
+    _check_normal((1, 1), [(1, 0), (-1, 1)])
+    with pytest.raises(ArithmeticError, match="does not bound"):
+        _check_normal((1, 0), [(1, 0), (-1, 1)])
+    with pytest.raises(ArithmeticError, match="does not bound"):
+        _check_normal((0, 0), [(1, 0)])
+
+
 def test_hull_empty_rejected():
     with pytest.raises(ValueError):
         zero_in_convex_hull([])
@@ -190,3 +201,74 @@ def test_classify_agrees_with_grid_oracle_random():
         result = classify_subsemigroup(gens)
         covers = grid.covers_ball(grid.close(gens), 5)
         assert (result.kind == FULL) == covers, (gens, result)
+
+
+def _random_set(rng: random.Random) -> list[tuple[int, ...]]:
+    """A seeded set in Z^1-Z^4, entries in -1..1 or -3..3, with duplicates,
+    positive multiples, a half-space bias or a rank deficit mixed in."""
+    d = rng.randint(1, 4)
+    style = rng.choice(["unit", "box", "dupes", "multiples", "half", "rank"])
+    size = rng.randint(1, 12)
+    top = 1 if style == "unit" else 3
+    vecs = [tuple(rng.randint(-top, top) for _ in range(d))
+            for _ in range(size)]
+    if style == "dupes":
+        vecs += rng.choices(vecs, k=rng.randint(1, 4))
+    elif style == "multiples":
+        vecs += [tuple(rng.randint(1, 3) * x for x in rng.choice(vecs))
+                 for _ in range(rng.randint(1, 4))]
+    elif style == "half":
+        normal = [rng.randint(-2, 2) for _ in range(d)]
+        vecs = [v for v in vecs
+                if sum(a * b for a, b in zip(v, normal)) >= 0] or vecs
+    elif style == "rank":
+        spanning = [[rng.randint(-2, 2) for _ in range(d)]
+                    for _ in range(rng.randint(1, max(1, d - 1)))]
+        vecs = [tuple(sum(rng.randint(-2, 2) * g[c] for g in spanning)
+                      for c in range(d)) for _ in range(size)]
+    rng.shuffle(vecs)
+    return vecs
+
+
+def test_hull_normal_matches_separator_enumeration():
+    # On a spanning set the normal is the primitive sum of the valid
+    # (d-1)-subset normals, and there is none exactly when the origin is
+    # interior. Sets that do not span are taken in span coordinates, as
+    # classify_subsemigroup does.
+    rng = random.Random(909)
+    for _ in range(1500):
+        nonzero = [v for v in dict.fromkeys(_random_set(rng)) if any(v)]
+        if not nonzero:
+            continue
+        reduction = _span_coordinates(nonzero)
+        vecs = nonzero if reduction is None else reduction[1]
+        valid = [n for n in separator_normals(vecs)
+                 if all(sum(a * b for a, b in zip(n, v)) >= 0 for v in vecs)]
+        witness = zero_in_convex_hull(vecs)
+        if not valid:
+            assert isinstance(witness, ZeroInHullWitness), vecs
+            continue
+        total = [sum(col) for col in zip(*valid)]
+        g = math.gcd(*total)
+        assert witness == HalfSpaceWitness(tuple(x // g for x in total)), vecs
+
+
+def _walk_positions(d: int, points: int, rng: random.Random):
+    pos = [0] * d
+    seen: dict[tuple[int, ...], None] = {}
+    while len(seen) < points:
+        pos[rng.randrange(d)] += rng.choice((1, -1))
+        seen.setdefault(tuple(pos), None)
+    return list(seen)
+
+
+@pytest.mark.parametrize("kind", ["box200", "trace36"])
+def test_large_z4_sets_classify_within_budget(kind):
+    rng = random.Random(0)
+    if kind == "box200":
+        vecs = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(200)]
+    else:
+        vecs = _walk_positions(4, 36, rng)
+    start = time.perf_counter()
+    classify_subsemigroup(vecs)
+    assert time.perf_counter() - start < 2.0
