@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -226,6 +227,31 @@ def test_random_reduced_words_are_reduced_and_uniformish():
     for row in words:
         assert all(a != -b for a, b in zip(row, row[1:]))
         assert all(1 <= abs(x) <= 3 for x in row)
+
+
+#: sha256 of shape, dtype and bytes of every random_reduced_words draw of
+#: length (1, 2, 16, 256) x count (1, 7, 20000), in that order, from one
+#: generator per rank d, so the letters and the generator's stream position
+#: after each draw are both pinned.
+REDUCED_WORD_PINS = {
+    2: "80e8dc409f6c48c0b65bcdf45cd015f0fdc5da634114c92d7c4d1f3ba4f359cc",
+    3: "df78fe1cc47af21d3096361e1c1450de41bdfa7628b7be84d6613ab17710ca4c",
+    5: "c827e0d2b52c2fda131e54083b666616fe91e7635e961d98c1cb0f7929d35885",
+    8: "04e0ef06867a3cda60fd0712b51538fc5a22ce5ce714cca6861a7e20ff2b8e02",
+}
+
+
+@pytest.mark.parametrize("d", sorted(REDUCED_WORD_PINS))
+def test_random_reduced_words_pinned(d):
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([d, 2024])))
+    digest = hashlib.sha256()
+    for length in (1, 2, 16, 256):
+        for count in (1, 7, 20000):
+            words = random_reduced_words(d, length, count, rng)
+            assert words.shape == (count, length)
+            digest.update(f"{words.shape} {words.dtype.str};".encode())
+            digest.update(words.tobytes())
+    assert digest.hexdigest() == REDUCED_WORD_PINS[d]
 
 
 def test_cancellation_experiment_exceedance_under_bound():
