@@ -12,6 +12,7 @@ mandatory result.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import replace
@@ -176,11 +177,22 @@ def cmd_lattice_classify(args) -> int:
     if not path.exists():
         raise ConfigError("vectors", f"no such file: {path}")
     vectors = []
-    for line in path.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
             continue
-        vectors.append(tuple(int(t) for t in line.split()))
+        where = f"{path} line {number}"
+        vector = []
+        for token in tokens:
+            try:
+                vector.append(int(token))
+            except ValueError:
+                raise ConfigError("vectors", f"{where}: {token!r} is not an "
+                                  "integer") from None
+        if vectors and len(vector) != len(vectors[0]):
+            raise ConfigError("vectors", f"{where}: {len(vector)} entries, "
+                              f"expected {len(vectors[0])}")
+        vectors.append(tuple(vector))
     if not vectors:
         raise ConfigError("vectors", f"{path} contains no vectors")
     classification = classify_subsemigroup(vectors)
@@ -346,7 +358,10 @@ def cmd_witness_check(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls, and building costs about twenty times a parse."""
     parser = argparse.ArgumentParser(
         prog="algrec",
         description="Random-walk and semigroup-closure experiments on groups")
@@ -377,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

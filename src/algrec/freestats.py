@@ -149,21 +149,24 @@ def random_reduced_words(d: int, length: int, count: int,
     """Uniform reduced words as a (count, length) array of signed letters.
 
     First letter uniform over the 2d letters, each later letter uniform over
-    the 2d - 1 letters that do not cancel the previous one.
+    the 2d - 1 letters that do not cancel the previous one. The letters are
+    drawn position by position into a (length, count) array, so each draw
+    fills a contiguous row; the result is its transposed view, since a
+    contiguous copy would hold the whole array twice.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     two_d = 2 * d
     # Letters are coded 0..2d-1: code k < d is letter k+1, else -(k-d+1).
-    codes = np.empty((count, length), dtype=np.int16)
-    codes[:, 0] = rng.integers(0, two_d, size=count, dtype=np.int16)
+    inverse_code = np.array([*range(d, two_d), *range(d)], dtype=np.int16)
+    codes = np.empty((length, count), dtype=np.int16)
+    codes[0] = rng.integers(0, two_d, size=count, dtype=np.int16)
     for pos in range(1, length):
-        prev = codes[:, pos - 1]
-        inverse = np.where(prev < d, prev + d, prev - d)
+        inverse = inverse_code[codes[pos - 1]]
         draw = rng.integers(0, two_d - 1, size=count, dtype=np.int16)
-        codes[:, pos] = draw + (draw >= inverse)
+        codes[pos] = draw + (draw >= inverse)
     letters = np.array([*range(1, d + 1), *range(-1, -d - 1, -1)], dtype=np.int16)
-    return letters[codes]
+    return letters[codes].T
 
 
 @dataclass(frozen=True)

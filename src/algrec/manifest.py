@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,10 +47,29 @@ def metadata_lines(meta: dict | None) -> list[str]:
     return [f"# {key}={meta[key]}" for key in sorted(meta or {})]
 
 
+def _csv_field(value) -> str:
+    """One field: its str(), None as empty, quoted only when it holds a
+    comma, a quote, CR or LF, with inner quotes doubled."""
+    if value is None:
+        return ""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(row) -> str:
+    """One row, CRLF-terminated; a row whose only field is empty is '""'."""
+    fields = [_csv_field(value) for value in row]
+    line = '""' if fields == [""] else ",".join(fields)
+    return line + "\r\n"
+
+
 def write_csv(path: str | Path, meta: dict, header: list[str], rows) -> None:
-    """CSV with sorted '#'-prefixed metadata lines, then one header row."""
+    """CSV with sorted '#'-prefixed metadata lines, then one header row.
+
+    Rows are written as the csv module's default dialect writes them."""
     with open(path, "w", newline="") as fh:
         fh.writelines(line + "\n" for line in metadata_lines(meta))
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_line(header))
+        fh.writelines(map(_csv_line, rows))

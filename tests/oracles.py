@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from bisect import insort
@@ -232,3 +233,16 @@ def quadratic_prefix_counts(trace) -> dict[int, int]:
         for j in range(1, len(word) + 1):
             by_depth.setdefault(j, set()).add(word[:j])
     return {j: len(s) for j, s in by_depth.items()}
+
+
+# ---------------------------------------------------------------------------
+# '#'-metadata CSV through the csv module
+
+def csv_module_write(path, meta: dict, header: list[str], rows) -> None:
+    """The bytes manifest.write_csv must write: sorted '# key=value' lines,
+    then the header and rows through csv.writer's default dialect."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {key}={meta[key]}\n" for key in sorted(meta))
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -317,6 +317,21 @@ def test_cli_lattice_classify(tmp_path, capsys):
     assert main(["lattice-classify", str(empty)]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 0\n# comment\n0 x\n", "line 3: 'x' is not an integer"),
+    ("1 0\n\n1 0 2\n", "line 3: 3 entries, expected 2"),
+], ids=["non-integer", "other-dimension"])
+def test_cli_lattice_classify_bad_row_names_file_and_line(tmp_path, capsys,
+                                                          text, message):
+    vecs = tmp_path / "vecs.txt"
+    vecs.write_text(text)
+    out = tmp_path / "out"
+    assert main(["lattice-classify", str(vecs), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: vectors: {vecs} {message}\n"
+    assert not out.exists()
+
+
 FREE_CFG = """
 [group]
 kind = Free(5)
@@ -524,6 +539,25 @@ def test_cli_walk_runs_with_no_steps(tmp_path):
     assert main(["walk", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "trace_seed1.txt").read_text().startswith(
         "# trace group=ZPower(1) seed=1 steps=0")
+
+
+def test_cli_calls_share_no_parser_state(tmp_path):
+    """The parser is built once per process; repeated and refused seeds of
+    one call do not reach the next."""
+    cfg = write_config(tmp_path, WALK_CFG)
+
+    def seeds(out):
+        return json.loads((out / "manifest.json").read_text())["seeds"]
+
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "a"),
+                 "--seed", "1", "--seed", "2"]) == 0
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--seed", "3"]) == 0
+    assert seeds(tmp_path / "b") == [3]
+    with pytest.raises(SystemExit):
+        main(["walk", "--seed", "5", "--no-such-flag"])
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert seeds(tmp_path / "c") == [1, 2]
 
 
 def test_cli_seed_override_validated(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -194,6 +195,15 @@ def test_free_positions_csv_matches_formatted_products(tmp_path, name, seed):
               [(n, G.format_element(x)) for n, x in enumerate(ref, start=1)])
     assert (tmp_path / "trie.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
+
+
+def test_free_positions_csv_within_budget(tmp_path):
+    """The positions CSV of a 4k-step F_5 walk, about 19 MB, is written in
+    under 0.3 s."""
+    trace = generate_walk(uniform_standard_measure(G.free(5)), 4000, seed=11)
+    start = time.perf_counter()
+    write_positions_csv(trace, tmp_path / "pos.csv", meta={"config": "x"})
+    assert time.perf_counter() - start < 0.3
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
