@@ -76,34 +76,44 @@ def _tail_measure(config: ScenarioConfig, command: str) -> SymmetricMeasure:
     return build_measure(config)
 
 
-def _open_output(config: ScenarioConfig) -> tuple[dict, Path]:
-    """The output directory, created, and the metadata its files carry."""
+def _open_output(config: ScenarioConfig, command: str, seeds=()
+                 ) -> tuple[dict, Path, RunManifest]:
+    """The files' metadata, the output directory, created, and a manifest."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return {"config": config_hash(config)}, out_dir
+    meta = {"config": config_hash(config)}
+    return meta, out_dir, RunManifest(command, meta["config"], seeds)
+
+
+def _run_seeds(one, seeds, threads: int, manifest: RunManifest) -> list:
+    """one(seed) -> (files, value) for each seed, on up to ``threads``
+    workers and timed where it runs. The files and ``seed<n>`` times go to
+    the manifest in seed order, and the values come back in that order."""
+    def timed(seed: int):
+        start = time.perf_counter()
+        return one(seed), time.perf_counter() - start
+
+    results = experiments.map_seeds(timed, seeds, threads)
+    for seed, ((files, _), elapsed) in zip(seeds, results):
+        manifest.add_file(*files)
+        manifest.record_time(f"seed{seed}", elapsed)
+    return [value for (_, value), _ in results]
 
 
 def cmd_walk(args) -> int:
     config = _load(args)
     measure = build_measure(config)
-    meta, out_dir = _open_output(config)
-    manifest = RunManifest("walk", meta["config"], config.seeds)
+    meta, out_dir, manifest = _open_output(config, "walk", config.seeds)
 
     def one(seed: int):
-        start = time.perf_counter()
         trace = generate_walk(measure, config.steps, seed)
         trace_path = out_dir / f"trace_seed{seed}.txt"
         write_trace(trace, trace_path, extra=f"config={meta['config']}")
         csv_path = out_dir / f"positions_seed{seed}.csv"
         write_positions_csv(trace, csv_path, meta=meta)
-        return trace_path, csv_path, time.perf_counter() - start
+        return (trace_path, csv_path), None
 
-    for seed, (trace_path, csv_path, elapsed) in zip(
-            config.seeds,
-            experiments.map_seeds(one, config.seeds, args.threads)):
-        manifest.add_file(trace_path)
-        manifest.add_file(csv_path)
-        manifest.record_time(f"seed{seed}", elapsed)
+    _run_seeds(one, config.seeds, args.threads, manifest)
     manifest.write(out_dir)
     print(f"walk: wrote {len(manifest.files)} files to {out_dir}")
     return EXIT_OK
@@ -117,34 +127,28 @@ def _budget(config: ScenarioConfig) -> ClosureBudget:
 def cmd_closure(args) -> int:
     config = _load(args)
     measure = _tail_measure(config, "closure")
-    meta, out_dir = _open_output(config)
+    meta, out_dir, manifest = _open_output(config, "closure", config.seeds)
     budget = _budget(config)
-    manifest = RunManifest("closure", meta["config"], config.seeds)
 
     def one(seed: int):
-        start = time.perf_counter()
         trace = generate_walk(measure, config.steps, seed)
         report = inverse_witness_report(trace, config.tail_index, budget)
         dump_path = out_dir / f"closure_seed{seed}.txt"
         write_closure_dump(report.closure_result, dump_path, meta=meta)
         report_path = out_dir / f"witness_seed{seed}.csv"
         write_witness_report_csv(report, report_path, meta=meta)
-        return dump_path, report_path, time.perf_counter() - start
+        return (dump_path, report_path), None
 
-    for seed, (dump_path, report_path, elapsed) in zip(
-            config.seeds, experiments.map_seeds(one, config.seeds, args.threads)):
-        manifest.add_file(dump_path)
-        manifest.add_file(report_path)
-        manifest.record_time(f"seed{seed}", elapsed)
+    _run_seeds(one, config.seeds, args.threads, manifest)
     manifest.write(out_dir)
-    print(f"closure: wrote {2 * len(config.seeds)} files to {out_dir}")
+    print(f"closure: wrote {len(manifest.files)} files to {out_dir}")
     return EXIT_OK
 
 
 def cmd_ar_estimate(args) -> int:
     config = _load(args)
     measure = _tail_measure(config, "ar-estimate")
-    meta, out_dir = _open_output(config)
+    meta, out_dir, manifest = _open_output(config, "ar-estimate", config.seeds)
     budget = _budget(config)
     radius = config.effective_coverage_radius()
     start = time.perf_counter()
@@ -158,7 +162,6 @@ def cmd_ar_estimate(args) -> int:
                "present_fraction_decided", "exhausted"],
               [[r.seed, r.n_used, str(r.coverage), str(r.present_fraction),
                 str(r.present_fraction_decided), r.exhausted] for r in rows])
-    manifest = RunManifest("ar-estimate", meta["config"], config.seeds)
     manifest.add_file(path)
     manifest.record_time("survey", elapsed)
     manifest.write(out_dir)
@@ -227,12 +230,10 @@ def cmd_free_stats(args) -> int:
         raise ConfigError("group.kind", "free-stats requires a Free(d) group")
     d = config.group.rank
     measure = _tail_measure(config, "free-stats")
-    meta, out_dir = _open_output(config)
+    meta, out_dir, manifest = _open_output(config, "free-stats", config.seeds)
     budget = _budget(config)
-    manifest = RunManifest("free-stats", meta["config"], config.seeds)
 
     def one(seed: int):
-        start = time.perf_counter()
         stats = freestats.walk_prefix_stats(d, config.steps, seed, j0=config.j0,
                                             measure=measure)
         vj_path = out_dir / f"prefix_vj_seed{seed}.csv"
@@ -250,15 +251,9 @@ def cmd_free_stats(args) -> int:
         check = freestats.log_bound_check(stats)
         summary = [seed, stats.max_depth, freestats.smallest_passing_j0(stats),
                    check.holds, f"{profile.slope:.6f}"]
-        return vj_path, growth_path, summary, time.perf_counter() - start
+        return (vj_path, growth_path), summary
 
-    results = experiments.map_seeds(one, config.seeds, args.threads)
-    summary_rows = []
-    for seed, (vj_path, growth_path, summary, elapsed) in zip(config.seeds, results):
-        manifest.add_file(vj_path)
-        manifest.add_file(growth_path)
-        manifest.record_time(f"seed{seed}", elapsed)
-        summary_rows.append(summary)
+    summary_rows = _run_seeds(one, config.seeds, args.threads, manifest)
 
     exact_p = freestats.return_probability(d)
     estimate = freestats.return_excursion_estimate(d, config.excursions,
@@ -295,7 +290,7 @@ def cmd_free_stats(args) -> int:
 
 def cmd_nilpotent_check(args) -> int:
     config = _load(args)
-    meta, out_dir = _open_output(config)
+    meta, out_dir, manifest = _open_output(config, "nilpotent-check")
     grid = nilpotent_identity_grid(range(config.k_min, config.k_max + 1),
                                    range(1, config.n_max + 1),
                                    range(1, config.m_max + 1))
@@ -303,7 +298,6 @@ def cmd_nilpotent_check(args) -> int:
     write_csv(path, meta,
               ["k1", "k2", "k3", "k4", "n", "m", "exponent_pos",
                "exponent_neg", "holds"], grid.rows)
-    manifest = RunManifest("nilpotent-check", meta["config"], ())
     manifest.add_file(path)
     manifest.write(out_dir)
     print(f"nilpotent-check: {grid.cases} cases, all hold: {grid.all_hold}")
@@ -346,13 +340,12 @@ def cmd_witness_check(args) -> int:
         lines.append(f"x_copies: {cert.x_copies}")
         lines.append(f"combination_value: {cert.combination_value}")
         lines.append(f"holds: {cert.holds}")
-    meta, out_dir = _open_output(config)
+    meta, out_dir, manifest = _open_output(config, "witness-check")
     lines.insert(0, f"# config={meta['config']}")
     text = "\n".join(lines)
     print(text)
     path = out_dir / "witness_report.txt"
     path.write_text(text + "\n")
-    manifest = RunManifest("witness-check", meta["config"], ())
     manifest.add_file(path)
     manifest.write(out_dir)
     return code
@@ -373,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override config seeds (repeatable)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (default 1)")
+                       help="worker processes (default 1)")
 
     for name, fn in [("walk", cmd_walk), ("closure", cmd_closure),
                      ("ar-estimate", cmd_ar_estimate),

@@ -7,10 +7,9 @@ set is therefore closed under products of any two members that land inside
 the radius, which subsumes closure under the generators themselves.
 
 The saturation runs on integer ids. A store per descriptor and radius,
-shared across calls and threads, interns each in-ball payload once, in
-first-seen order, with its canonical key (its text form) and its element;
-reads take no lock and inserts take the store's lock. Products are computed
-on payloads through the descriptor, and the in-ball test is the
+shared across calls, interns each in-ball payload once, in first-seen
+order, with its canonical key (its text form) and its element. Products are
+computed on payloads through the descriptor, and the in-ball test is the
 descriptor's ``length_within`` on the payload, so no element is built per
 product.
 
@@ -41,7 +40,6 @@ their 240k pairs, and a memo of them raised peak RSS from 35 to 58 MB.
 from __future__ import annotations
 
 import enum
-import threading
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,27 +111,21 @@ class _Store:
         self.payloads: list[Any] = []
         self.keys: list[str] = []
         self.elements: list[GroupElement] = []
-        self.lock = threading.Lock()
         #: rows[a][b] is products(a, b), kept only for small balls
         self.rows: dict[int, dict[int, tuple[int, int]]] = {}
         self.memoise = ball_size(desc, radius) <= _MEMO_MAX_BALL
 
     def id_of(self, p: Any) -> int:
-        """The id of payload p, interned on first sight, or -1 outside the
-        ball. Of threads that intern p at once, the first to lock wins."""
+        """Payload p's id, interned on first sight; -1 outside the ball."""
         i = self.ids.get(p)
         if i is not None:
             return i
         if self.desc.length_within(p, self.radius) is None:
             return -1
-        with self.lock:
-            i = self.ids.get(p)
-            if i is None:
-                i = len(self.payloads)
-                self.payloads.append(p)
-                self.keys.append(self.desc.format(p))
-                self.elements.append(GroupElement(self.desc, p))
-                self.ids[p] = i  # published last, for lock-free readers
+        i = self.ids[p] = len(self.payloads)
+        self.payloads.append(p)
+        self.keys.append(self.desc.format(p))
+        self.elements.append(GroupElement(self.desc, p))
         return i
 
     def products(self, a: int, b: int) -> tuple[int, int]:
@@ -147,14 +139,12 @@ class _Store:
 
 
 _STORES: dict[tuple[GroupDescriptor, int], _Store] = {}
-_STORES_LOCK = threading.Lock()
 
 
 def _store(desc: GroupDescriptor, radius: int) -> _Store:
     store = _STORES.get((desc, radius))
     if store is None:
-        with _STORES_LOCK:
-            store = _STORES.setdefault((desc, radius), _Store(desc, radius))
+        store = _STORES[desc, radius] = _Store(desc, radius)
     return store
 
 

@@ -191,6 +191,9 @@ def validate_config(config: ScenarioConfig) -> None:
                           f"must not exceed budget radius {config.budget_radius}")
     if not config.seeds:
         raise ConfigError("run.seeds", "need at least one seed")
+    for i, seed in enumerate(config.seeds):
+        if seed in config.seeds[:i]:
+            raise ConfigError("run.seeds", f"seed {seed} repeated")
     if config.witness_mode not in ("torsion", "z-integer"):
         raise ConfigError("witness.mode", "expected torsion or z-integer")
     for n in config.effective_eval_steps():

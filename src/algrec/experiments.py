@@ -1,10 +1,9 @@
 """Reusable seeded experiment routines shared by the CLI and the acceptance
-suite. Every routine is deterministic in its arguments; seed
-fan-out preserves seed order regardless of the thread count."""
+suite. Every routine is deterministic in its arguments, and seed fan-out
+returns results in seed order."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -24,13 +23,31 @@ T = TypeVar("T")
 #: Seed set pinned for the statistical acceptance runs.
 ACCEPTANCE_SEEDS: tuple[int, ...] = tuple(range(1, 101))
 
+#: The per-seed function forked workers inherit; set while a pool runs.
+_SEED_FN: Callable[[int], object] | None = None
+
+
+def _apply_seed_fn(seed: int):
+    return _SEED_FN(seed)
+
+
 def map_seeds(fn: Callable[[int], T], seeds: Sequence[int],
               threads: int = 1) -> list[T]:
-    """Apply fn to each seed; results come back in seed order."""
-    if threads <= 1 or len(seeds) <= 1:
+    """Apply fn to each seed; results come back in seed order. Past one
+    seed and one thread, fn runs in min(threads, seeds) forked processes,
+    each with its own caches; only seeds and results are pickled."""
+    workers = min(threads, len(seeds))
+    if workers <= 1:
         return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, seeds))
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    global _SEED_FN
+    _SEED_FN = fn
+    try:
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            return list(pool.map(_apply_seed_fn, seeds))
+    finally:
+        _SEED_FN = None
 
 
 @dataclass(frozen=True)

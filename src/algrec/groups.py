@@ -15,7 +15,6 @@ the cap the length is reported as out of range rather than estimated.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, ClassVar, Iterable
 
@@ -411,7 +410,6 @@ def standard_generators(descriptor: GroupDescriptor) -> tuple[GroupElement, ...]
 # Word length and balls
 
 _BALL_CACHE: dict[tuple[GroupDescriptor, int], dict[Any, int]] = {}
-_BALL_LOCK = threading.Lock()
 
 
 def ball_distances(descriptor: GroupDescriptor, radius: int) -> dict[Any, int]:
@@ -419,9 +417,7 @@ def ball_distances(descriptor: GroupDescriptor, radius: int) -> dict[Any, int]:
     word length.
 
     Computed by BFS over the standard generators and cached per descriptor
-    and radius. Intended for small radii; the cache is shared across threads.
-    Reads take no lock: a finished dict is inserted once under the lock, and
-    a thread that lost the race to build it adopts the one already there.
+    and radius. Intended for small radii.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -444,8 +440,8 @@ def ball_distances(descriptor: GroupDescriptor, radius: int) -> dict[Any, int]:
         frontier = new_frontier
         if not frontier:
             break
-    with _BALL_LOCK:
-        return _BALL_CACHE.setdefault(key, dist)
+    _BALL_CACHE[key] = dist
+    return dist
 
 
 def ball_size(descriptor: GroupDescriptor, radius: int) -> int:

@@ -22,8 +22,8 @@ class RunManifest:
     files: list[str] = field(default_factory=list)
     wall_clock_seconds: dict = field(default_factory=dict)
 
-    def add_file(self, path: str | Path) -> None:
-        self.files.append(str(path))
+    def add_file(self, *paths: str | Path) -> None:
+        self.files.extend(map(str, paths))
 
     def record_time(self, label: str, seconds: float) -> None:
         self.wall_clock_seconds[label] = seconds

@@ -1,5 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -221,39 +219,6 @@ def test_exhausted_closure_multiplies_each_pair_once(monkeypatch, seed,
     assert result.exhausted
     assert (result.products_performed, k) == (products, kept)
     assert len(calls) == k * (k + 1) == muls
-
-
-def test_store_is_shared_across_threads(monkeypatch):
-    """Three threads closing Heisenberg and F_5 tails into empty stores get
-    the one-thread results, and every payload keeps one id."""
-    budget = ClosureBudget(radius=4)
-    tails = [list(generate_walk(uniform_standard_measure(d), 60, seed=s)
-                  .positions)
-             for d, s in [(G.heisenberg(), 1), (G.heisenberg(), 2),
-                          (G.free(5), 30), (G.free(5), 3), (G.heisenberg(), 3),
-                          (G.free(5), 28)]]
-
-    def run_all(threads):
-        monkeypatch.setattr(C, "_STORES", {})
-        with ThreadPoolExecutor(threads) as pool:
-            futures = [pool.submit(closure, t, budget) for t in tails]
-            results = [f.result(timeout=120) for f in futures]
-        return results, dict(C._STORES)
-
-    one, _ = run_all(1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        three, stores = run_all(3)
-    finally:
-        sys.setswitchinterval(interval)
-    assert [(r.elements, r.exhausted, r.products_performed) for r in three] \
-        == [(r.elements, r.exhausted, r.products_performed) for r in one]
-    assert len(stores) == 2
-    for store in stores.values():
-        assert len(store.ids) == len(store.payloads) == len(store.keys)
-        assert all(store.ids[p] == i for i, p in enumerate(store.payloads))
-        assert store.keys == [store.desc.format(p) for p in store.payloads]
 
 
 def full_inversion_report(trace, n, budget):

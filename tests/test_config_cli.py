@@ -1,5 +1,7 @@
+import concurrent.futures
 import hashlib
 import json
+import multiprocessing
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -269,29 +271,6 @@ def test_cli_ar_estimate(tmp_path):
     assert len(data) == 1 + 3 * 2  # header + seeds x eval steps
 
 
-def test_cli_ar_estimate_deterministic(tmp_path):
-    cfg = write_config(tmp_path, AR_CFG)
-    out1, out2 = tmp_path / "x", tmp_path / "y"
-    main(["ar-estimate", "--config", cfg, "--out", str(out1)])
-    main(["ar-estimate", "--config", cfg, "--out", str(out2), "--threads", "3"])
-    assert (out1 / "ar_coverage.csv").read_bytes() == \
-        (out2 / "ar_coverage.csv").read_bytes()
-
-
-def test_cli_ar_estimate_deterministic_heisenberg(tmp_path, monkeypatch):
-    """Three threads building the shared ball and closure-store caches from
-    empty write the same bytes as one thread."""
-    monkeypatch.setattr(G, "_BALL_CACHE", {})
-    monkeypatch.setattr(closure, "_STORES", {})
-    cfg = write_config(tmp_path, AR_CFG.replace("CyclicZ(12)", "Heisenberg")
-                       .replace("radius = 6", "radius = 4"))
-    out1, out3 = tmp_path / "x", tmp_path / "y"
-    main(["ar-estimate", "--config", cfg, "--out", str(out3), "--threads", "3"])
-    main(["ar-estimate", "--config", cfg, "--out", str(out1), "--threads", "1"])
-    assert (out1 / "ar_coverage.csv").read_bytes() == \
-        (out3 / "ar_coverage.csv").read_bytes()
-
-
 def test_cli_closure_dump(tmp_path):
     cfg = write_config(tmp_path, AR_CFG)
     out = tmp_path / "out"
@@ -467,23 +446,112 @@ def test_experiment_configs_load(path):
 
 
 def test_threads_flag(tmp_path, monkeypatch, capsys):
+    """Each walking command hands --threads and its seeds to the one fan-out."""
     seen = []
     real = experiments.map_seeds
 
     def spy(fn, seeds, threads=1):
-        seen.append(threads)
+        seen.append((threads, tuple(seeds)))
         return real(fn, seeds, threads)
 
     monkeypatch.setattr(experiments, "map_seeds", spy)
     cfg = write_config(tmp_path, WALK_CFG)
     assert main(["walk", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
-    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "b"),
-                 "--threads", "2"]) == 0
-    assert seen == [1, 2]
-    out = tmp_path / "c"
+    assert main(["closure", "--config", write_config(tmp_path, AR_CFG),
+                 "--out", str(tmp_path / "b"), "--threads", "2"]) == 0
+    assert main(["ar-estimate", "--config", write_config(tmp_path, AR_CFG),
+                 "--out", str(tmp_path / "c"), "--threads", "3"]) == 0
+    assert seen == [(1, (1, 2)), (2, (1, 2, 3)), (3, (1, 2, 3))]
+    out = tmp_path / "d"
     assert main(["walk", "--config", cfg, "--out", str(out),
                  "--threads", "0"]) == 2
     assert "config error: --threads: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_capped_at_seed_count(tmp_path, monkeypatch):
+    """--threads 64 over two seeds asks for two workers, and one seed asks
+    for none. The pool is a stand-in that runs in this process."""
+    made = []
+
+    class Pool:
+        def __init__(self, workers, mp_context):
+            made.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, seeds):
+            return map(fn, seeds)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    cfg = write_config(tmp_path, WALK_CFG)
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "a"),
+                 "--threads", "64"]) == 0
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--threads", "64", "--seed", "5"]) == 0
+    assert made == [2]
+    assert (tmp_path / "a" / "positions_seed2.csv").exists()
+
+
+HEISENBERG_AR_CFG = (AR_CFG.replace("CyclicZ(12)", "Heisenberg")
+                     .replace("radius = 6", "radius = 4"))
+
+
+@pytest.mark.parametrize("command, text", [
+    ("walk", WALK_CFG), ("closure", HEISENBERG_AR_CFG),
+    ("ar-estimate", HEISENBERG_AR_CFG), ("ar-estimate", AR_CFG),
+    ("free-stats", FREE_CFG),
+], ids=["walk", "closure", "ar-estimate-heisenberg", "ar-estimate-z12",
+        "free-stats"])
+def test_data_files_independent_of_threads(tmp_path, monkeypatch, command,
+                                           text):
+    """Two forked workers, each growing its own ball and closure-store caches
+    from empty, write the bytes of one process into every data file, and the
+    manifest lists them in the same order. manifest.json holds times, so it
+    is not compared."""
+    cfg = write_config(tmp_path, text)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setattr(G, "_BALL_CACHE", {})
+        monkeypatch.setattr(closure, "_STORES", {})
+        out = tmp_path / f"threads{threads}"
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--threads", threads]) == 0
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+        runs.append(([Path(f).name for f in listed],
+                     {p.name: p.read_bytes() for p in out.iterdir()
+                      if p.name != "manifest.json"}))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0][0]) == sorted(runs[0][1])
+
+
+def test_worker_failure_fails_the_run(tmp_path, capsys):
+    """A seed whose file cannot be written fails the run with the same error
+    at one and at two workers, and no worker process outlives the call."""
+    cfg = write_config(tmp_path, WALK_CFG)
+    out = tmp_path / "out"
+    (out / "trace_seed2.txt").mkdir(parents=True)
+    errors = []
+    for threads in ("1", "2"):
+        assert main(["walk", "--config", cfg, "--out", str(out), "--threads",
+                     threads, "--seed", "1", "--seed", "2", "--seed", "3"]) == 2
+        assert multiprocessing.active_children() == []
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: [Errno 21] ")
+    assert errors[0].count("\n") == 1
+
+
+def test_cli_rejects_repeated_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["walk", "--config", write_config(tmp_path, WALK_CFG),
+                 "--out", str(out), "--seed", "1", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: run.seeds: seed 1 repeated\n"
     assert not out.exists()
 
 
