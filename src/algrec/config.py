@@ -40,6 +40,11 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
+
+    def __reduce__(self):
+        # Rebuilt from both fields, so the error crosses a worker's pickle.
+        return type(self), (self.path, self.message)
 
 
 def _key(path: str, default, *, minimum: int | None = None):

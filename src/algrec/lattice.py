@@ -21,12 +21,17 @@ extreme rays are exactly the primitive normals of (d-1)-subsets of V that
 are nonnegative on all of V: a ray of C* is extreme when the vectors it is
 orthogonal to have rank d-1. So the normal is the sum over all valid subset
 normals, without enumerating the C(n, d-1) subsets. No extreme ray means
-C* = {0}: the origin is interior and a positive certificate is sought.
+C* = {0}: the origin is interior, and phase one of the simplex method with
+Bland's rule (Bland 1977), on a d-row integer tableau, finds the positive
+certificate.
+
+The Smith report is taken on an echelon basis of the generated lattice, at
+most d rows found by Euclid row steps, so its cost does not grow with the
+number of vectors.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,19 +172,51 @@ class LatticeBasisReport:
     index: int | None  # None means infinite (rank-deficient)
 
 
+def _lattice_basis(vecs: Sequence[Vec], d: int) -> list[Vec]:
+    """Echelon basis of the lattice the vectors generate, at most d rows.
+
+    Each vector is reduced against the basis row with its leading column by
+    Euclid row steps, which are unimodular, so the lattice never changes.
+    """
+    pivots: dict[int, Vec] = {}
+    for v in vecs:
+        for col in range(d):
+            if not v[col]:
+                continue
+            p = pivots.get(col)
+            if p is None:
+                pivots[col] = v
+                break
+            while v[col]:
+                q = p[col] // v[col]
+                p, v = v, tuple(x - q * y for x, y in zip(p, v))
+            pivots[col] = p
+    return list(pivots.values())
+
+
 def subgroup_index(vectors: Sequence[Sequence[int]]) -> LatticeBasisReport:
     """Smith-form report on the subgroup of Z^d generated by the vectors."""
     vecs = _as_vectors(vectors)
     d = len(vecs[0])
-    snf = smith_normal_form(vecs)
-    nonzero = [x for x in snf.diagonal if x]
+    basis = _lattice_basis(vecs, d)
+    nonzero = smith_normal_form(basis).diagonal if basis else ()
     rank = len(nonzero)
     index = math.prod(nonzero) if rank == d else None
-    return LatticeBasisReport(tuple(vecs), rank, snf.diagonal, index)
+    diagonal = nonzero + (0,) * (min(len(vecs), d) - rank)
+    return LatticeBasisReport(tuple(vecs), rank, diagonal, index)
 
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra: fraction-free integer elimination
+
+def _eliminate(row: list[int], pivot_row: list[int], col: int) -> list[int]:
+    """pivot_row[col] * row - row[col] * pivot_row, which is zero in column
+    col, divided by the gcd of its entries."""
+    a, f = pivot_row[col], row[col]
+    row = [a * x - f * y for x, y in zip(row, pivot_row)]
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
 
 def _echelon(rows: list[list[int]], width: int) -> list[int]:
     """Fraction-free Gauss-Jordan on the first `width` columns, in place.
@@ -196,13 +233,9 @@ def _echelon(rows: list[list[int]], width: int) -> list[int]:
             continue
         rows[r], rows[found] = rows[found], rows[r]
         pivot_row = rows[r]
-        a = pivot_row[col]
         for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != r:
-                row = [a * x - f * y for x, y in zip(row, pivot_row)]
-                g = math.gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
+            if row[col] and i != r:
+                rows[i] = _eliminate(row, pivot_row, col)
         pivots.append(col)
         if len(pivots) == len(rows):
             break
@@ -352,6 +385,55 @@ def zero_in_convex_hull(vectors: Sequence[Sequence[int]]) -> ConeWitness:
     return HalfSpaceWitness(normal)
 
 
+def _conic_solution(vecs: Sequence[Vec],
+                    target: Vec) -> dict[int, Fraction] | None:
+    """A basic solution t >= 0 of sum t_i vecs[i] = target, else None.
+
+    The support of t is returned as {i: t_i}. Phase one of the simplex
+    method on a d-row integer tableau: one artificial variable per row
+    starts in the basis, and their sum is driven to zero. Rows are updated
+    fraction-free and divided by their gcd, so a row's values are its
+    entries over its basic entry, which stays positive; ratios are compared
+    by cross-multiplication. Bland's rule (the lowest-index entering
+    column, ties on the ratio to the lowest basic index) makes the exact
+    simplex terminate. An artificial that leaves the basis never returns,
+    so its column is not stored.
+    """
+    n = len(vecs)
+    rows = []
+    for c, t in enumerate(target):
+        sign = -1 if t < 0 else 1
+        rows.append([sign * v[c] for v in vecs] + [sign * t])
+    basis = [n + r for r in range(len(rows))]
+    # Reduced costs of the sum of the artificials, and minus that sum.
+    cost = [-sum(col) for col in zip(*rows)]
+    while True:
+        enter = next((j for j in range(n) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for r, row in enumerate(rows):
+            if row[enter] > 0:
+                if leave is None:
+                    leave = r
+                    continue
+                best = rows[leave]
+                here, there = row[n] * best[enter], best[n] * row[enter]
+                if here < there or here == there and basis[r] < basis[leave]:
+                    leave = r
+        # The sum of the artificials is bounded below, so some row leaves.
+        pivot_row = rows[leave]
+        for r, row in enumerate(rows):
+            if row[enter] and r != leave:
+                rows[r] = _eliminate(row, pivot_row, enter)
+        cost = _eliminate(cost, pivot_row, enter)
+        basis[leave] = enter
+    if cost[n]:
+        return None
+    return {j: Fraction(row[n], row[j])
+            for j, row in zip(basis, rows) if j < n and row[n]}
+
+
 def _positive_certificate(vecs: list[Vec], d: int) -> ZeroInHullWitness:
     base_idx = _column_echelon(vecs)[1]
     if len(base_idx) != d:
@@ -359,21 +441,12 @@ def _positive_certificate(vecs: list[Vec], d: int) -> ZeroInHullWitness:
     target = tuple(-sum(vecs[i][c] for i in base_idx) for c in range(d))
     coeffs: dict[int, Fraction] = {i: Fraction(1) for i in base_idx}
     if any(target):
-        found = None
-        for size in range(1, d + 1):
-            for subset in itertools.combinations(range(len(vecs)), size):
-                sol = _solve_unique([vecs[i] for i in subset], target)
-                if sol is not None and all(t >= 0 for t in sol):
-                    found = (subset, sol)
-                    break
-            if found:
-                break
+        found = _conic_solution(vecs, target)
         if found is None:
             raise ArithmeticError(
                 "origin interior but no conic combination found")
-        for i, t in zip(*found):
-            if t:
-                coeffs[i] = coeffs.get(i, Fraction(0)) + t
+        for i, t in found.items():
+            coeffs[i] = coeffs.get(i, Fraction(0)) + t
     indices = sorted(coeffs)
     denom = math.lcm(*[coeffs[i].denominator for i in indices])
     ints = _primitive(tuple(int(coeffs[i] * denom) for i in indices))

@@ -7,6 +7,7 @@ import itertools
 import math
 from bisect import insort
 from collections import deque
+from fractions import Fraction
 
 from algrec.groups import (
     GroupElement,
@@ -35,7 +36,8 @@ def matrix_to_heisenberg(m: tuple) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# Integer determinants and half-space normals by subset enumeration
+# Integer determinants, half-space normals and conic combinations by subset
+# enumeration
 
 def integer_determinant(rows) -> int:
     """Fraction-free Bareiss determinant of a square integer matrix."""
@@ -81,6 +83,41 @@ def separator_normals(vecs) -> list[tuple[int, ...]]:
             normals.setdefault(normal, None)
             normals.setdefault(tuple(-x for x in normal), None)
     return list(normals)
+
+
+def _solve_fraction(columns, target) -> list[Fraction] | None:
+    """The unique solution of sum t_i columns[i] = target, by Gaussian
+    elimination over Fractions; None when the columns are dependent or the
+    system is inconsistent."""
+    k = len(columns)
+    rows = [[Fraction(c[i]) for c in columns] + [Fraction(x)]
+            for i, x in enumerate(target)]
+    for col in range(k):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(len(rows)):
+            if r != col and rows[r][col]:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    if any(row[k] for row in rows[k:]):
+        return None
+    return [rows[c][k] / rows[c][c] for c in range(k)]
+
+
+def subset_conic_solution(vecs, target) -> dict[int, Fraction] | None:
+    """A nonnegative t with sum t_i vecs[i] = target, from the first subset
+    of size 1..d, in combinations order, whose unique solution is
+    nonnegative; returned as {i: t_i} on the subset. By Caratheodory's
+    theorem some such subset exists whenever target is in the cone."""
+    d = len(target)
+    for size in range(1, d + 1):
+        for subset in itertools.combinations(range(len(vecs)), size):
+            sol = _solve_fraction([vecs[i] for i in subset], target)
+            if sol is not None and all(t >= 0 for t in sol):
+                return dict(zip(subset, sol))
+    return None
 
 
 # ---------------------------------------------------------------------------

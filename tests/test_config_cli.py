@@ -497,6 +497,20 @@ def test_workers_capped_at_seed_count(tmp_path, monkeypatch):
     assert (tmp_path / "a" / "positions_seed2.csv").exists()
 
 
+def test_config_error_from_a_worker_reaches_the_parent():
+    """A ConfigError raised in a forked worker pickles back whole, so the
+    parent re-raises it, not BrokenProcessPool. Two workers, never more."""
+    def fn(seed):
+        if seed == 2:
+            raise ConfigError("walk.steps", "must be >= 1")
+        return seed
+
+    with pytest.raises(ConfigError) as raised:
+        experiments.map_seeds(fn, [1, 2, 3], 2)
+    assert str(raised.value) == "walk.steps: must be >= 1"
+    assert raised.value.path == "walk.steps"
+
+
 HEISENBERG_AR_CFG = (AR_CFG.replace("CyclicZ(12)", "Heisenberg")
                      .replace("radius = 6", "radius = 4"))
 

@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from algrec.lattice import (
     FULL,
@@ -12,6 +13,9 @@ from algrec.lattice import (
     HalfSpaceWitness,
     ZeroInHullWitness,
     _check_normal,
+    _column_echelon,
+    _conic_solution,
+    _positive_certificate,
     _span_coordinates,
     _verify_certificate,
     classify_subsemigroup,
@@ -19,7 +23,12 @@ from algrec.lattice import (
     subgroup_index,
     zero_in_convex_hull,
 )
-from oracles import GridClosure, integer_determinant, separator_normals
+from oracles import (
+    GridClosure,
+    integer_determinant,
+    separator_normals,
+    subset_conic_solution,
+)
 
 
 def mat_mul(x, y):
@@ -85,6 +94,25 @@ def test_snf_diagonal_matches_sympy(rows):
         abs(expected[i, i]) for i in range(k))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d),
+             min_size=1, max_size=7),
+    st.lists(st.integers(0, 6), max_size=3),
+    st.integers(0, 2),
+    st.randoms(use_true_random=False))))
+def test_subgroup_index_diagonal_matches_smith_form(case):
+    # The report is taken on a basis of the lattice; padded with zeros, its
+    # diagonal is the Smith diagonal of all the rows, zero and repeated ones
+    # included.
+    rows, repeats, zeros, rng = case
+    d = len(rows[0])
+    rows = rows + [rows[i % len(rows)] for i in repeats] + [[0] * d] * zeros
+    rng.shuffle(rows)
+    assert subgroup_index(rows).smith_diagonal == \
+        smith_normal_form(rows).diagonal
+
+
 def test_determinant_matches_numpy_on_small_ints():
     rng = random.Random(7)
     import numpy as np
@@ -142,6 +170,45 @@ def test_normal_check_raises_on_a_vector_below_or_a_zero_normal():
         _check_normal((1, 0), [(1, 0), (-1, 1)])
     with pytest.raises(ArithmeticError, match="does not bound"):
         _check_normal((0, 0), [(1, 0)])
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _certificate_target(vecs, d):
+    # The target _positive_certificate solves for: minus the sum of the
+    # first independent vectors.
+    basis = _column_echelon(vecs)[1]
+    return tuple(-sum(vecs[i][c] for i in basis) for c in range(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * d), min_size=2 * d + 2, max_size=12)))
+def test_conic_solution_agrees_with_subset_oracle(vectors):
+    # On spanning sets whose dual cone is {0} (no separator normal bounds
+    # them), both the simplex and the subset search find a nonnegative
+    # combination hitting the target, and the certificate checks out.
+    d = len(vectors[0])
+    vecs = [v for v in dict.fromkeys(vectors) if any(v)]
+    normals = separator_normals(vecs) if vecs else []
+    assume(normals and not any(all(_dot(n, v) >= 0 for v in vecs)
+                               for n in normals))
+    target = _certificate_target(vecs, d)
+    for sol in (_conic_solution(vecs, target),
+                subset_conic_solution(vecs, target)):
+        assert sol is not None and all(t >= 0 for t in sol.values())
+        assert tuple(sum(t * vecs[i][c] for i, t in sol.items())
+                     for c in range(d)) == target
+    _verify_certificate(_positive_certificate(vecs, d), d)
+
+
+def test_conic_solution_none_outside_the_cone():
+    assert _conic_solution([(1, 0), (0, 1)], (-1, 0)) is None
+    assert subset_conic_solution([(1, 0), (0, 1)], (-1, 0)) is None
+    with pytest.raises(ArithmeticError, match="no conic combination"):
+        _positive_certificate([(1, 0), (0, 1)], 2)
 
 
 def test_hull_empty_rejected():
@@ -272,3 +339,41 @@ def test_large_z4_sets_classify_within_budget(kind):
     start = time.perf_counter()
     classify_subsemigroup(vecs)
     assert time.perf_counter() - start < 2.0
+
+
+def _z3_walk_positions(seed: int) -> list[tuple[int, ...]]:
+    """Distinct positions of a 500-step simple random walk on Z^3."""
+    rng = random.Random(seed)
+    pos = [0, 0, 0]
+    seen: dict[tuple[int, ...], None] = {}
+    for _ in range(500):
+        pos[rng.randrange(3)] += rng.choice((1, -1))
+        seen.setdefault(tuple(pos), None)
+    return list(seen)
+
+
+def test_z3_walk_sets_classify_within_budget():
+    # A subset search for the positive certificate took 27 s on seed 1
+    # (353 points). Consecutive positions differ by a unit vector, so the
+    # lattice is Z^3 and the verdict is Full or InHalfSpace.
+    elapsed = 0.0
+    for seed in range(20):
+        vecs = _z3_walk_positions(seed)
+        start = time.perf_counter()
+        result = classify_subsemigroup(vecs)
+        elapsed += time.perf_counter() - start
+        if result.kind == IN_HALF_SPACE:
+            dots = [_dot(result.normal, v) for v in vecs]
+            assert min(dots) >= 0 and max(dots) > 0, seed
+            continue
+        assert result.kind == FULL and result.report.index == 1, seed
+        witness = result.hull_witness
+        members = set(vecs)
+        assert set(witness.points) <= members, seed
+        assert all(t > 0 for t in witness.coefficients), seed
+        assert not any(sum(t * p[c] for t, p in zip(witness.coefficients,
+                                                       witness.points))
+                       for c in range(3)), seed
+        assert any(integer_determinant(rows) for rows in
+                   itertools.combinations(witness.points, 3)), seed
+    assert elapsed < 10.0
