@@ -38,6 +38,17 @@ class GroupDescriptor:
     Subclasses define ``identity_payload``, ``generator_payloads``,
     ``canonicalize``, ``mul``, ``inv``, ``ball_size``, ``format`` and
     ``parse``. Word lengths default to the subclass's closed-form ``length``.
+
+    ``summary``, None by default, is optionally a method mapping a payload
+    to (length, first letter, inverse of the last letter), for families
+    whose products have length |p| + |q| unless the last letter of one
+    factor is the inverse of the first letter of the other (F_d). The
+    closure skips, unmultiplied, the pairs whose summaries rule out both
+    orders landing in the ball, and multiplies the rest with
+    ``mul_within(p, q, radius)``: the product if its word length is at most
+    radius, else None. Its default is ``mul`` then ``length_within``; a
+    family with a summary overrides it to count the length before building
+    the product.
     """
 
     #: Family name, as in the text form of the descriptor.
@@ -45,6 +56,8 @@ class GroupDescriptor:
     #: Largest radius a closure may use; finite only for families whose
     #: lengths come from the BFS ball.
     length_cap: ClassVar[float] = math.inf
+    #: Per-payload (length, first letter, inverse of last letter), or None.
+    summary: ClassVar[Callable[[Any], tuple[int, int, int]] | None] = None
 
     def __str__(self) -> str:
         params = ",".join(str(getattr(self, f.name)) for f in fields(self))
@@ -57,6 +70,11 @@ class GroupDescriptor:
         """The word length of payload p if it is <= radius, else None."""
         n = self.length(p)
         return n if n <= radius else None
+
+    def mul_within(self, p: Any, q: Any, radius: int) -> Any:
+        """The product p*q if its word length is <= radius, else None."""
+        pq = self.mul(p, q)
+        return pq if self.length_within(pq, radius) is not None else None
 
 
 class _BallLengths(GroupDescriptor):
@@ -161,6 +179,19 @@ class Free(GroupDescriptor):
             i -= 1
             j += 1
         return u[:i] + v[j:]
+
+    def mul_within(self, u: tuple, v: tuple, radius: int) -> tuple[int, ...] | None:
+        """Count the cancellation first; build the word only if it fits."""
+        i, j, nv = len(u), 0, len(v)
+        while i > 0 and j < nv and u[i - 1] == -v[j]:
+            i -= 1
+            j += 1
+        return u[:i] + v[j:] if i + nv - j <= radius else None
+
+    def summary(self, p: tuple) -> tuple[int, int, int]:
+        """(length, first letter, inverse of the last letter); the empty
+        word has no letters and reads (0, 0, 0)."""
+        return (len(p), p[0], -p[-1]) if p else (0, 0, 0)
 
     def inv(self, p: tuple) -> tuple[int, ...]:
         return tuple(-s for s in reversed(p))

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -200,25 +201,67 @@ def test_table_engine_replays_worklist(descriptor, max_radius, cap):
     assert any(truncated) == (cap is not None)
 
 
-@pytest.mark.parametrize("seed,products,kept,muls", [
-    (28, 180_172, 310, 96_410), (30, 640_372, 572, 327_756)])
-def test_exhausted_closure_multiplies_each_pair_once(monkeypatch, seed,
-                                                     products, kept, muls):
-    """The heavy F_5, r = 4, 200-step tail closures count two products per
-    partner visit but multiply each unordered pair once: k(k+1) calls of
-    mul for k elements, about half the products counted."""
-    monkeypatch.setattr(C, "_STORES", {})
-    tail = generate_walk(uniform_standard_measure(G.free(5)), 200,
+def heavy_free_tail(seed):
+    return generate_walk(uniform_standard_measure(G.free(5)), 200,
                          seed=seed).positions
-    calls = []
-    mul = G.Free.mul
-    monkeypatch.setattr(G.Free, "mul",
-                        lambda self, p, q: calls.append(1) or mul(self, p, q))
+
+
+@pytest.mark.parametrize("seed,products,kept,muls", [
+    (28, 180_172, 310, 16_538), (30, 640_372, 572, 83_246)])
+def test_exhausted_free_closure_multiplies_only_pairs_in_reach(
+        monkeypatch, seed, products, kept, muls):
+    """The heavy F_5, r = 4, 200-step tail closures count two products per
+    partner visit, but multiply each unordered pair at most once, and only
+    when one of its products may land in the ball: far fewer than k(k+1)
+    calls of mul_within for k elements, and none of mul."""
+    monkeypatch.setattr(C, "_STORES", {})
+    tail = heavy_free_tail(seed)
+    calls, plain = [], []
+    mul, mul_within = G.Free.mul, G.Free.mul_within
+    monkeypatch.setattr(G.Free, "mul", lambda self, p, q: plain.append(1)
+                        or mul(self, p, q))
+    monkeypatch.setattr(G.Free, "mul_within", lambda self, p, q, r:
+                        calls.append(1) or mul_within(self, p, q, r))
     result = closure(tail, ClosureBudget(radius=4))
     k = len(result.elements)
     assert result.exhausted
     assert (result.products_performed, k) == (products, kept)
-    assert len(calls) == k * (k + 1) == muls
+    assert len(calls) == muls < k * (k + 1)
+    assert plain == []
+
+
+def test_heavy_free_closures_within_budget(monkeypatch):
+    """The two heavy F_5, r = 4, 200-step tails (seeds 28 and 30) close
+    from a cold store in under 0.3 s together."""
+    tails = [heavy_free_tail(seed) for seed in (28, 30)]
+    monkeypatch.setattr(C, "_STORES", {})
+    start = time.perf_counter()
+    for tail in tails:
+        closure(tail, ClosureBudget(radius=4))
+    assert time.perf_counter() - start < 0.3
+
+
+@pytest.mark.parametrize("descriptor,radius", [
+    (G.free(2), 3), (G.free(3), 3), (G.free(5), 2)], ids=str)
+def test_pairs_out_of_reach_leave_the_ball(descriptor, radius):
+    """Over every ordered pair (x, y) of the ball, a partner y that the
+    skip rule drops for x has x*y and y*x both outside the ball, and the
+    partners kept stay in snapshot order."""
+    store = C._Store(descriptor, radius)
+    ball = [store.id_of(p) for p in G.ball_distances(descriptor, radius)]
+    snapshot = sorted((store.keys[y], j, y) for j, y in enumerate(ball))
+    dropped = 0
+    for x in ball:
+        kept = C._in_reach(store.summaries, x, snapshot, radius)
+        near = {y for _, _, y in kept}
+        assert kept == [p for p in snapshot if p[2] in near]
+        for y in ball:
+            if y not in near:
+                p, q = store.payloads[x], store.payloads[y]
+                assert len(descriptor.mul(p, q)) > radius
+                assert len(descriptor.mul(q, p)) > radius
+                dropped += 1
+    assert dropped > 0
 
 
 def full_inversion_report(trace, n, budget):

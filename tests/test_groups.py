@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from algrec import groups as G
 from conftest import SMALL_DESCRIPTORS, ball_elements, elements, generator_words
@@ -140,6 +140,26 @@ def test_free_payloads_always_reduced():
     def check(u, v):
         w = G.multiply(u, v).payload
         assert all(a != -b for a, b in zip(w, w[1:]))
+
+    check()
+
+
+@pytest.mark.parametrize("descriptor", [*SMALL_DESCRIPTORS, G.free(3),
+                                        G.free(4)], ids=str)
+def test_mul_within_is_the_product_inside_the_radius(descriptor):
+    """mul_within(p, q, r) is mul(p, q) when its length is <= r, else None:
+    Free's length-first override and the default agree with mul."""
+    ident = G.identity(descriptor)
+
+    @settings(max_examples=150, deadline=None)
+    @given(elements(descriptor, 8), elements(descriptor, 8), st.integers(0, 8))
+    @example(ident, ident, 0)
+    @example(ident, G.standard_generators(descriptor)[0], 0)
+    def check(u, v, radius):
+        p, q = u.payload, v.payload
+        pq = descriptor.mul(p, q)
+        inside = descriptor.length_within(pq, radius) is not None
+        assert descriptor.mul_within(p, q, radius) == (pq if inside else None)
 
     check()
 
