@@ -12,7 +12,7 @@ order, with its canonical key (its text form) and its element. Products are
 computed on payloads through the descriptor, so no element is built per
 product. A family with a ``summary`` (F_d) multiplies length-first with
 ``mul_within``, which builds only the words that fit the radius; the others
-look each product up before the descriptor's ``length_within`` tests it.
+look each product up before testing its closed-form ``length``.
 
 The steps are fixed: seed with the distinct in-ball generators in canonical
 order, pop FIFO, pair the popped x with a snapshot of the members taken in
@@ -137,7 +137,7 @@ class _Store:
         i = self.ids.get(p)
         if i is not None:
             return i
-        if p is None or self.desc.length_within(p, self.radius) is None:
+        if p is None or self.desc.length(p) > self.radius:
             return -1
         i = self.ids[p] = len(self.payloads)
         self.payloads.append(p)
@@ -150,7 +150,7 @@ class _Store:
     def products(self, a: int, b: int) -> tuple[int, int]:
         """The ids of a*b and b*a: length-first for families with a summary,
         else looked up before the length test, which costs those families
-        a sum or a BFS-ball lookup per product."""
+        one closed-form length per product not yet in the store."""
         p, q = self.payloads[a], self.payloads[b]
         id_of = self.id_of
         if self.summaries is None:
@@ -203,10 +203,6 @@ def closure(generators: Sequence[GroupElement],
     desc = gens[0].descriptor
     if any(g.descriptor != desc for g in gens):
         raise ValueError("generators must share one descriptor")
-    if budget.radius > desc.length_cap:
-        raise ValueError(
-            f"radius {budget.radius} exceeds BFS word-length cap "
-            f"{desc.length_cap} for {desc}")
     store = _store(desc, budget.radius)
     products_of, rows, keys = store.products, store.rows, store.keys
     summaries, radius = store.summaries, budget.radius

@@ -35,10 +35,19 @@ def map_seeds(fn: Callable[[int], T], seeds: Sequence[int],
               threads: int = 1) -> list[T]:
     """Apply fn to each seed; results come back in seed order. Past one
     seed and one thread, fn runs in min(threads, seeds) forked processes,
-    each with its own caches; only seeds and results are pickled."""
+    each with its own caches; only seeds and results are pickled. Either
+    way every seed runs, and the first failure in seed order is raised."""
     workers = min(threads, len(seeds))
     if workers <= 1:
-        return [fn(s) for s in seeds]
+        results, failures = [], []
+        for s in seeds:
+            try:
+                results.append(fn(s))
+            except Exception as exc:
+                failures.append(exc)
+        if failures:
+            raise failures[0]
+        return results
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
     global _SEED_FN

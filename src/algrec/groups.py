@@ -7,27 +7,21 @@ generators, word lengths, ball sizes and text form on raw payloads; the
 module functions delegate to it. Elements are immutable and carry one
 canonical payload, described in the family's class docstring.
 
-Word lengths in the Heisenberg and lamplighter groups come from a cached
-breadth-first search over the standard generators up to a radius cap; beyond
-the cap the length is reported as out of range rather than estimated.
+Every family has a closed-form word length and an exact ball size, so any
+element's length is known and no radius is out of range. ``ball_distances``
+is the breadth-first reference they are checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Any, Callable, ClassVar, Iterable
-
-#: Default cap for BFS-based word lengths (Heisenberg, LamplighterZ).
-DEFAULT_WORD_LENGTH_CAP = 12
 
 
 class DescriptorMismatchError(ValueError):
     """Raised when an operation mixes elements of different groups."""
-
-
-class WordLengthCapError(ValueError):
-    """Raised when a BFS word length exceeds the configured radius cap."""
 
 
 @dataclass(frozen=True)
@@ -36,64 +30,23 @@ class GroupDescriptor:
     implements that family on raw payloads.
 
     Subclasses define ``identity_payload``, ``generator_payloads``,
-    ``canonicalize``, ``mul``, ``inv``, ``ball_size``, ``format`` and
-    ``parse``. Word lengths default to the subclass's closed-form ``length``.
-
-    ``summary``, None by default, is optionally a method mapping a payload
-    to (length, first letter, inverse of the last letter), for families
-    whose products have length |p| + |q| unless the last letter of one
-    factor is the inverse of the first letter of the other (F_d). The
-    closure skips, unmultiplied, the pairs whose summaries rule out both
-    orders landing in the ball, and multiplies the rest with
-    ``mul_within(p, q, radius)``: the product if its word length is at most
-    radius, else None. Its default is ``mul`` then ``length_within``; a
-    family with a summary overrides it to count the length before building
-    the product.
+    ``canonicalize``, ``mul``, ``inv``, ``length`` (the word length, in
+    closed form), ``ball_size``, ``format`` and ``parse``. A family whose
+    products have length |p| + |q| unless a letter cancels (F_d) also
+    defines ``summary``, payload -> (length, first letter, inverse of the
+    last letter), and ``mul_within(p, q, radius)``, the product if its
+    length is at most radius, else None; the closure uses both to skip
+    products outside the ball.
     """
 
     #: Family name, as in the text form of the descriptor.
     kind: ClassVar[str]
-    #: Largest radius a closure may use; finite only for families whose
-    #: lengths come from the BFS ball.
-    length_cap: ClassVar[float] = math.inf
     #: Per-payload (length, first letter, inverse of last letter), or None.
     summary: ClassVar[Callable[[Any], tuple[int, int, int]] | None] = None
 
     def __str__(self) -> str:
         params = ",".join(str(getattr(self, f.name)) for f in fields(self))
         return f"{self.kind}({params})" if params else self.kind
-
-    def word_length(self, a: GroupElement, cap: int) -> int:
-        return self.length(a.payload)
-
-    def length_within(self, p: Any, radius: int) -> int | None:
-        """The word length of payload p if it is <= radius, else None."""
-        n = self.length(p)
-        return n if n <= radius else None
-
-    def mul_within(self, p: Any, q: Any, radius: int) -> Any:
-        """The product p*q if its word length is <= radius, else None."""
-        pq = self.mul(p, q)
-        return pq if self.length_within(pq, radius) is not None else None
-
-
-class _BallLengths(GroupDescriptor):
-    """Families without a closed form: lengths are looked up in the BFS ball."""
-
-    length_cap = DEFAULT_WORD_LENGTH_CAP
-
-    def word_length(self, a: GroupElement, cap: int) -> int:
-        n = ball_distances(self, cap).get(a.payload)
-        if n is None:
-            raise WordLengthCapError(
-                f"word length of {format_element(a)} exceeds BFS cap {cap}")
-        return n
-
-    def length_within(self, p: Any, radius: int) -> int | None:
-        return ball_distances(self, radius).get(p)
-
-    def ball_size(self, radius: int) -> int:
-        return len(ball_distances(self, radius))
 
 
 @dataclass(frozen=True)
@@ -230,7 +183,7 @@ class Free(GroupDescriptor):
 
 
 @dataclass(frozen=True)
-class Heisenberg(_BallLengths):
+class Heisenberg(GroupDescriptor):
     """The discrete Heisenberg group; payload: integer triple (a, b, c) with
     (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2)."""
 
@@ -251,6 +204,34 @@ class Heisenberg(_BallLengths):
         a1, b1, c1 = p
         return (-a1, -b1, a1 * b1 - c1)
 
+    def length(self, p: tuple) -> int:
+        """Blachère's closed form (Colloq. Math. 2003) on 0 <= a <= b, c >= 0.
+        The first three steps are automorphisms that permute the generators;
+        the swap is the third composed with inversion and the first two."""
+        a, b, c = p
+        if a < 0:
+            a, c = -a, -c
+        if b < 0:
+            b, c = -b, -c
+        if c < 0:
+            a, b, c = b, a, a * b - c
+        if a > b:
+            a, b = b, a
+        if c <= a * b:
+            return a + b
+        if b * b >= c:
+            return 2 * -(-c // b) + b - a
+        return 2 * (math.isqrt(4 * c - 1) + 1) - a - b  # 2 * ceil(2 * sqrt(c))
+
+    def ball_size(self, radius: int) -> int:
+        """``length`` over a box: c sums the current a over the y-letters, so
+        h x-letters and v y-letters end at |c| <= h * v <= radius**2 / 4."""
+        top = radius * radius // 4
+        return sum(1 for a in range(-radius, radius + 1)
+                   for b in range(abs(a) - radius, radius - abs(a) + 1)
+                   for c in range(-top, top + 1)
+                   if self.length((a, b, c)) <= radius)
+
     def format(self, p: tuple) -> str:
         return "H({},{},{})".format(*p)
 
@@ -261,7 +242,7 @@ class Heisenberg(_BallLengths):
 
 
 @dataclass(frozen=True)
-class LamplighterZ(_BallLengths):
+class LamplighterZ(GroupDescriptor):
     """The lamplighter group over Z; payload: pair (position, lamps) where
     lamps is the sorted tuple of the integers whose lamp is lit."""
 
@@ -282,6 +263,22 @@ class LamplighterZ(_BallLengths):
     def inv(self, p: tuple) -> tuple[int, tuple[int, ...]]:
         x, f = p
         return (-x, tuple(sorted(s - x for s in f)))
+
+    def length(self, p: tuple) -> int:
+        """Lit lamps plus the shortest tour from 0 over the lamps that ends at
+        x (Cleary and Taback, "Dead end words in lamplighter groups", 2005)."""
+        x, f = p
+        span = (max(f[-1], x, 0) - min(f[0], x, 0)) if f else abs(x)
+        return len(f) + 2 * span - abs(x)
+
+    def ball_size(self, radius: int) -> int:
+        """The lamp sets that fit the radius left by each tour over [lo, hi]
+        ending at x; an end of [lo, hi] past both 0 and x must be lit."""
+        return sum(math.comb(hi - lo + 1 - lit, k)
+                   for lo in range(-radius, 1) for hi in range(lo + radius + 1)
+                   for x in range(lo, hi + 1)
+                   for lit in [(lo < min(0, x)) + (hi > max(0, x))]
+                   for k in range(radius - 2 * (hi - lo) + abs(x) - lit + 1))
 
     def format(self, p: tuple) -> str:
         x, f = p
@@ -444,12 +441,8 @@ _BALL_CACHE: dict[tuple[GroupDescriptor, int], dict[Any, int]] = {}
 
 
 def ball_distances(descriptor: GroupDescriptor, radius: int) -> dict[Any, int]:
-    """Map the payload of every element of the radius-``radius`` ball to its
-    word length.
-
-    Computed by BFS over the standard generators and cached per descriptor
-    and radius. Intended for small radii.
-    """
+    """Payload -> word length on the radius-``radius`` ball, by a cached BFS
+    over the standard generators: the reference for the closed forms."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     key = (descriptor, radius)
@@ -475,22 +468,23 @@ def ball_distances(descriptor: GroupDescriptor, radius: int) -> dict[Any, int]:
     return dist
 
 
+@cache
 def ball_size(descriptor: GroupDescriptor, radius: int) -> int:
-    """|{g : word_length(g) <= radius}|, in closed form where there is one."""
+    """|{g : word_length(g) <= radius}|, exact, cached."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     return descriptor.ball_size(radius)
 
 
-def word_length(a: GroupElement, cap: int = DEFAULT_WORD_LENGTH_CAP) -> int:
-    """Word length with respect to the standard generators. Families without
-    a closed form raise WordLengthCapError past ``cap``."""
-    return a.descriptor.word_length(a, cap)
+def word_length(a: GroupElement) -> int:
+    """Word length with respect to the standard generators."""
+    return a.descriptor.length(a.payload)
 
 
 def word_length_within(a: GroupElement, radius: int) -> int | None:
-    """Word length if it is <= radius, else None. Never raises on long elements."""
-    return a.descriptor.length_within(a.payload, radius)
+    """Word length if it is <= radius, else None."""
+    n = a.descriptor.length(a.payload)
+    return n if n <= radius else None
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,13 @@ def test_closure_rejects_empty_and_mixed():
         closure([z_el(1), G.identity(G.zpower(2))], ClosureBudget(radius=3))
 
 
-def test_closure_radius_capped_for_bfs_groups():
-    with pytest.raises(ValueError):
-        closure([G.identity(G.heisenberg())], ClosureBudget(radius=40))
+def test_heisenberg_closure_runs_past_radius_12():
+    """No radius is out of range: a Heisenberg closure at r = 14 keeps
+    elements longer than 12 and replays the worklist oracle."""
+    h = G.heisenberg()
+    gens = [G.GroupElement(h, p) for p in ((1, 0, 0), (0, 1, 3), (-2, 1, 0))]
+    budget = ClosureBudget(radius=14, max_elements=400)
+    result = closure(gens, budget)
+    assert (set(result.elements), result.exhausted,
+            result.products_performed) == worklist_closure(gens, budget)
+    assert max(G.word_length(g) for g in result.elements) == 14

@@ -279,6 +279,16 @@ def test_cli_closure_dump(tmp_path):
     assert dump[0].startswith("# closure group=CyclicZ(12)")
 
 
+def test_cli_closure_heisenberg_past_radius_12(tmp_path):
+    cfg = write_config(tmp_path, AR_CFG.replace("CyclicZ(12)", "Heisenberg")
+                       .replace("radius = 6", "radius = 14\nmax_elements = 300"))
+    out = tmp_path / "out"
+    assert main(["closure", "--config", cfg, "--out", str(out)]) == 0
+    dump = (out / "closure_seed1.txt").read_text().splitlines()
+    assert dump[0].startswith("# closure group=Heisenberg generators=1..60 "
+                              "radius=14 ")
+
+
 def test_cli_lattice_classify(tmp_path, capsys):
     vecs = tmp_path / "vecs.txt"
     vecs.write_text("1 0\n0 1\n-1 -1\n")
@@ -523,14 +533,14 @@ HEISENBERG_AR_CFG = (AR_CFG.replace("CyclicZ(12)", "Heisenberg")
         "free-stats"])
 def test_data_files_independent_of_threads(tmp_path, monkeypatch, command,
                                            text):
-    """Two forked workers, each growing its own ball and closure-store caches
-    from empty, write the bytes of one process into every data file, and the
-    manifest lists them in the same order. manifest.json holds times, so it
-    is not compared."""
+    """Two forked workers, each growing its own ball-size and closure-store
+    caches from empty, write the bytes of one process into every data file,
+    and the manifest lists them in the same order. manifest.json holds
+    times, so it is not compared."""
     cfg = write_config(tmp_path, text)
     runs = []
     for threads in ("1", "2"):
-        monkeypatch.setattr(G, "_BALL_CACHE", {})
+        G.ball_size.cache_clear()
         monkeypatch.setattr(closure, "_STORES", {})
         out = tmp_path / f"threads{threads}"
         assert main([command, "--config", cfg, "--out", str(out),
@@ -545,17 +555,21 @@ def test_data_files_independent_of_threads(tmp_path, monkeypatch, command,
 
 def test_worker_failure_fails_the_run(tmp_path, capsys):
     """A seed whose file cannot be written fails the run with the same error
-    at one and at two workers, and no worker process outlives the call."""
+    at one and at two workers, after every other seed has written its files,
+    and no worker process outlives the call."""
     cfg = write_config(tmp_path, WALK_CFG)
-    out = tmp_path / "out"
-    (out / "trace_seed2.txt").mkdir(parents=True)
-    errors = []
+    errors, listings = [], []
     for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        (out / "trace_seed2.txt").mkdir(parents=True)
         assert main(["walk", "--config", cfg, "--out", str(out), "--threads",
                      threads, "--seed", "1", "--seed", "2", "--seed", "3"]) == 2
         assert multiprocessing.active_children() == []
-        errors.append(capsys.readouterr().err)
+        errors.append(capsys.readouterr().err.replace(str(out), "OUT"))
+        listings.append(sorted(p.name for p in out.iterdir()))
     assert errors[0] == errors[1]
+    assert listings[0] == listings[1]
+    assert "positions_seed3.csv" in listings[0]
     assert errors[0].startswith("error: [Errno 21] ")
     assert errors[0].count("\n") == 1
 

@@ -51,10 +51,9 @@ def test_word_length_examples():
     assert G.word_length(z) == 4
 
 
-def test_word_length_cap():
+def test_word_length_has_no_cap():
     far = G.GroupElement(G.heisenberg(), (100, 100, 0))
-    with pytest.raises(G.WordLengthCapError):
-        G.word_length(far, cap=4)
+    assert G.word_length(far) == 200
     assert G.word_length_within(far, 4) is None
 
 
@@ -144,11 +143,11 @@ def test_free_payloads_always_reduced():
     check()
 
 
-@pytest.mark.parametrize("descriptor", [*SMALL_DESCRIPTORS, G.free(3),
-                                        G.free(4)], ids=str)
+@pytest.mark.parametrize("descriptor", [G.free(d) for d in range(2, 6)],
+                         ids=str)
 def test_mul_within_is_the_product_inside_the_radius(descriptor):
-    """mul_within(p, q, r) is mul(p, q) when its length is <= r, else None:
-    Free's length-first override and the default agree with mul."""
+    """Free's length-first mul_within(p, q, r) is mul(p, q) when its length
+    is <= r, else None."""
     ident = G.identity(descriptor)
 
     @settings(max_examples=150, deadline=None)
@@ -158,7 +157,7 @@ def test_mul_within_is_the_product_inside_the_radius(descriptor):
     def check(u, v, radius):
         p, q = u.payload, v.payload
         pq = descriptor.mul(p, q)
-        inside = descriptor.length_within(pq, radius) is not None
+        inside = descriptor.length(pq) <= radius
         assert descriptor.mul_within(p, q, radius) == (pq if inside else None)
 
     check()
@@ -258,6 +257,55 @@ def test_ball_sizes_against_bfs():
         for radius in range(0, 4):
             assert G.ball_size(descriptor, radius) == \
                 len(G.ball_distances(descriptor, radius))
+    for descriptor in (G.heisenberg(), G.lamplighter_z()):
+        for radius in range(0, 13):
+            assert G.ball_size(descriptor, radius) == \
+                len(G.ball_distances(descriptor, radius))
+
+
+@pytest.mark.parametrize("descriptor", [G.heisenberg(), G.lamplighter_z()],
+                         ids=str)
+def test_closed_form_lengths_match_bfs(descriptor):
+    ball = G.ball_distances(descriptor, 14)
+    assert len(ball) == descriptor.ball_size(14)
+    assert all(descriptor.length(p) == n for p, n in ball.items())
+
+
+def _far_heisenberg():
+    big = st.integers(-60, 60)
+    return st.tuples(big, big, st.integers(-2000, 2000)).map(
+        lambda t: G.GroupElement(G.heisenberg(), t))
+
+
+def _far_lamplighter():
+    cells = st.integers(-40, 40)
+    return st.tuples(cells, st.sets(cells, max_size=40)).map(
+        lambda t: G.make_element(G.lamplighter_z(), t))
+
+
+@pytest.mark.parametrize("descriptor, far", [
+    (G.heisenberg(), _far_heisenberg()),
+    (G.lamplighter_z(), _far_lamplighter()),
+], ids=["Heisenberg", "LamplighterZ"])
+def test_closed_form_length_descends_far_outside_the_bfs(descriptor, far):
+    """A function that is 0 only at e, moves by exactly one along each
+    generator and drops by one along some generator away from e is the word
+    length: it is 1-Lipschitz from e, and a descent reaches e in that many
+    steps. Checked on elements far past any BFS ball."""
+    gens = descriptor.generator_payloads
+    e = descriptor.identity_payload
+
+    @settings(max_examples=300, deadline=None)
+    @given(far)
+    @example(G.identity(descriptor))
+    def check(g):
+        p, n = g.payload, descriptor.length(g.payload)
+        assert (n == 0) == (p == e)
+        steps = [descriptor.length(descriptor.mul(p, s)) - n for s in gens]
+        assert set(steps) <= {-1, 1}
+        assert -1 in steps or p == e
+
+    check()
 
 
 def test_standard_generator_counts():

@@ -63,3 +63,11 @@ def test_every_public_name_is_referenced():
     assert PERFBENCH
     assert unused == []
     assert set(UNREFERENCED_OK) <= set(public)
+
+
+def test_only_groups_refers_to_the_bfs_ball():
+    # ball_distances is the reference the closed-form lengths are checked
+    # against; no product or length path may use it.
+    found = [path.name for path in SOURCES
+             if "ball_distances" in path.read_text()]
+    assert found == ["groups.py"]
