@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .groups import (
     GroupDescriptor,
@@ -71,7 +71,7 @@ from .groups import (
     word_length_within,
 )
 from .manifest import metadata_lines
-from .walks import TriePositions, WalkTrace
+from .walks import Positions, WalkTrace
 
 #: Largest ball, in elements, whose products the store memoises.
 _MEMO_MAX_BALL = 512
@@ -269,8 +269,7 @@ def coverage_fraction(result: ClosureResult, radius: int) -> Fraction:
     return Fraction(hits, ball_size(result.descriptor, radius))
 
 
-@dataclass(frozen=True)
-class WitnessRow:
+class WitnessRow(NamedTuple):
     index: int
     membership: Membership
     position_length: int | None
@@ -283,18 +282,22 @@ class InverseWitnessReport:
     closure_result: ClosureResult
     rows: tuple[WitnessRow, ...]
 
+    @cached_property
+    def _tally(self) -> dict[Membership, int]:
+        members = [row.membership for row in self.rows]
+        return {m: members.count(m) for m in Membership}
+
     @property
     def present(self) -> int:
-        return sum(1 for r in self.rows if r.membership is Membership.PRESENT)
+        return self._tally[Membership.PRESENT]
 
     @property
     def absent(self) -> int:
-        return sum(1 for r in self.rows
-                   if r.membership is Membership.ABSENT_WITHIN_BUDGET)
+        return self._tally[Membership.ABSENT_WITHIN_BUDGET]
 
     @property
     def unknown(self) -> int:
-        return sum(1 for r in self.rows if r.membership is Membership.UNKNOWN)
+        return self._tally[Membership.UNKNOWN]
 
     @property
     def present_fraction(self) -> Fraction:
@@ -308,20 +311,21 @@ class InverseWitnessReport:
         return Fraction(self.present, decided) if decided else Fraction(0)
 
 
-def tail_within(tail: Sequence[GroupElement], radius: int
+def tail_within(tail: Positions, radius: int
                 ) -> tuple[list[int | None], list[GroupElement]]:
     """Each tail position's word length if it is <= radius, else None, and
-    the closure generators: the in-ball positions, or the first position
-    when none is in the ball (the closure then seeds nothing).
+    the closure generators: the distinct in-ball positions in first-seen
+    order, or the first position when none is in the ball (the closure then
+    seeds nothing).
 
-    Free-group lengths are trie depths, so only in-ball words are built.
+    Lengths come from the positions' ``lengths()``, and only the distinct
+    in-ball positions are built as elements.
     """
-    if isinstance(tail, TriePositions):
-        lengths = [n if n <= radius else None for n in tail.lengths()]
-    else:
-        lengths = [word_length_within(x, radius) for x in tail]
-    inside = [tail[i] for i, n in enumerate(lengths) if n is not None]
-    return lengths, inside or list(tail[:1])
+    lengths = [n if n <= radius else None for n in tail.lengths()]
+    payload, desc = tail.payload, tail.descriptor
+    inside = dict.fromkeys(payload(i) for i, n in enumerate(lengths)
+                           if n is not None)
+    return lengths, [GroupElement(desc, p) for p in inside] or list(tail[:1])
 
 
 def inverse_witness_report(trace: WalkTrace, n: int,
@@ -330,19 +334,22 @@ def inverse_witness_report(trace: WalkTrace, n: int,
 
     Word length is invariant under inversion in every family, so a position
     outside the radius has its inverse outside it too: neither in the
-    closure nor decidable within the ball, that row is Unknown.
+    closure nor decidable within the ball, that row is Unknown. Lengths come
+    from the positions' ``lengths()``, and each distinct in-ball position is
+    decided once, by ``contains``; its other rows reuse that verdict.
     """
     if not 1 <= n <= len(trace):
         raise ValueError(f"tail index {n} outside 1..{len(trace)}")
     tail = trace.positions[n - 1:]
     lengths, generators = tail_within(tail, budget.radius)
     result = closure(generators, budget, generator_range=(n, len(trace)))
-    rows = []
-    for i, length in enumerate(lengths):
-        member = (Membership.UNKNOWN if length is None
-                  else contains(result, invert(tail[i])))
-        rows.append(WitnessRow(n + i, member, length))
-    return InverseWitnessReport(result, tuple(rows))
+    # The generators are the distinct in-ball positions (or one outside).
+    verdicts = {g.payload: contains(result, invert(g)) for g in generators}
+    payload, unknown = tail.payload, Membership.UNKNOWN
+    members = [unknown if length is None else verdicts[payload(i)]
+               for i, length in enumerate(lengths)]
+    return InverseWitnessReport(result, tuple(map(
+        WitnessRow, range(n, n + len(lengths)), members, lengths)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +377,7 @@ def write_witness_report_csv(report: InverseWitnessReport, path: str | Path,
     lines.append("i,membership,word_length")
     for row in report.rows:
         wl = "" if row.position_length is None else row.position_length
-        lines.append(f"{row.index},{row.membership},{wl}")
+        lines.append(f"{row.index},{row.membership.value},{wl}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

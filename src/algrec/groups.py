@@ -15,6 +15,7 @@ is the breadth-first reference they are checked against.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cache
 from typing import Any, Callable, ClassVar, Iterable
@@ -224,13 +225,21 @@ class Heisenberg(GroupDescriptor):
         return 2 * (math.isqrt(4 * c - 1) + 1) - a - b  # 2 * ceil(2 * sqrt(c))
 
     def ball_size(self, radius: int) -> int:
-        """``length`` over a box: c sums the current a over the y-letters, so
-        h x-letters and v y-letters end at |c| <= h * v <= radius**2 / 4."""
-        top = radius * radius // 4
-        return sum(1 for a in range(-radius, radius + 1)
-                   for b in range(abs(a) - radius, radius - abs(a) + 1)
-                   for c in range(-top, top + 1)
-                   if self.length((a, b, c)) <= radius)
+        """Per column (a, b) with |a| + |b| <= radius, the c within the ball
+        form one interval around ab, the c of the word x^a y^b: after the
+        steps in ``length`` the length is a + b for 0 <= c <= ab and grows
+        with c beyond, and c < 0 maps to ab - c. Both ends are bisected in
+        the box |c| <= radius**2 / 4, which holds because c sums the current
+        a over the y-letters, so h x-letters and v y-letters end at
+        |c| <= h * v."""
+        length, top, total = self.length, radius * radius // 4, 0
+        for a in range(-radius, radius + 1):
+            for b in range(abs(a) - radius, radius - abs(a) + 1):
+                key = lambda c: length((a, b, c))  # noqa: E731
+                total += (bisect_right(range(a * b, top + 1), radius, key=key)
+                          + bisect_right(range(a * b, -top - 1, -1), radius,
+                                         key=key) - 1)
+        return total
 
     def format(self, p: tuple) -> str:
         return "H({},{},{})".format(*p)
@@ -257,6 +266,8 @@ class LamplighterZ(GroupDescriptor):
     def mul(self, p: tuple, q: tuple) -> tuple[int, tuple[int, ...]]:
         x, f = p
         y, g = q
+        if not g:
+            return (x + y, f)
         lamps = set(f).symmetric_difference(s + x for s in g)
         return (x + y, tuple(sorted(lamps)))
 

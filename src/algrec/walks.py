@@ -5,16 +5,20 @@ the seed, looks them up in the measure's fixed-point cumulative table, and
 multiplies the resulting increments left to right. Identical
 (measure, n_steps, seed) triples give bit-identical traces on any platform.
 
-On free groups a position is a reduced word whose length grows linearly
-with the step, so a trace keeps its positions as node ids of one prefix
-trie, in memory linear in the steps, and spells a word only when asked for
-it. Other families keep a tuple of elements.
+A trace keeps its positions in a raw form and builds an element only when
+one is asked for. On free groups a position is a reduced word whose length
+grows linearly with the step, so the positions are node ids of one prefix
+trie, in memory linear in the steps. Other families keep the list of
+payloads, each the product of the previous one and the increment's payload
+by the family's ``mul``. Both kinds give every position's word length and
+payload without building an element.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +28,6 @@ from .groups import (
     GroupDescriptor,
     GroupElement,
     format_element,
-    multiply,
     parse_descriptor,
     parse_element,
 )
@@ -111,12 +114,70 @@ class PrefixTrie:
         return counts
 
 
-class TriePositions(Sequence):
-    """Read-only sequence of free-group positions held as trie node ids.
+class Positions(Sequence):
+    """Read-only sequence of walk positions kept in a raw form.
 
-    An index builds that one element, a slice returns a view on the same
-    trie, and equality compares content with any sequence of elements.
+    An index builds that one element, a slice returns a view of the same
+    kind, and equality compares content with any sequence of elements.
+    Subclasses give ``payload(i)``, the payload of position i,
+    ``lengths()``, every position's word length, and ``texts()``, every
+    position's text form, without building elements.
     """
+
+    __slots__ = ()
+    descriptor: GroupDescriptor
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._view(index)
+        return GroupElement(self.descriptor, self.payload(index))
+
+    def __iter__(self):
+        desc, payload = self.descriptor, self.payload
+        for i in range(len(self)):
+            yield GroupElement(desc, payload(i))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            x == y for x, y in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.descriptor}, {len(self)} positions)"
+
+
+class PayloadPositions(Positions):
+    """Positions held as the list of their canonical payloads."""
+
+    __slots__ = ("descriptor", "payloads")
+
+    def __init__(self, descriptor: GroupDescriptor, payloads: list):
+        self.descriptor = descriptor
+        self.payloads = payloads
+
+    def __len__(self) -> int:
+        return len(self.payloads)
+
+    def payload(self, i: int):
+        return self.payloads[i]
+
+    def _view(self, index: slice) -> PayloadPositions:
+        return PayloadPositions(self.descriptor, self.payloads[index])
+
+    def lengths(self) -> list[int]:
+        return list(map(self.descriptor.length, self.payloads))
+
+    def texts(self):
+        return map(self.descriptor.format, self.payloads)
+
+
+class TriePositions(Positions):
+    """Free-group positions held as node ids of one prefix trie; a position
+    is spelled only when it is asked for."""
 
     __slots__ = ("descriptor", "trie", "ids")
 
@@ -129,29 +190,18 @@ class TriePositions(Sequence):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return TriePositions(self.descriptor, self.trie, self.ids[index])
-        return GroupElement(self.descriptor, self.trie.word(self.ids[index]))
+    def payload(self, i: int) -> tuple[int, ...]:
+        return self.trie.word(self.ids[i])
 
-    def __iter__(self):
-        desc, word = self.descriptor, self.trie.word
-        for node in self.ids:
-            yield GroupElement(desc, word(node))
+    def _view(self, index: slice) -> TriePositions:
+        return TriePositions(self.descriptor, self.trie, self.ids[index])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TriePositions) and other.trie is self.trie:
             return other.descriptor == self.descriptor and other.ids == self.ids
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            x == y for x, y in zip(self, other))
+        return super().__eq__(other)
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"TriePositions({self.descriptor}, {len(self)} positions)"
+    __hash__ = Positions.__hash__
 
     def lengths(self) -> list[int]:
         """Word length of each position, read from the trie."""
@@ -184,7 +234,7 @@ class WalkTrace:
     descriptor: GroupDescriptor
     seed: int
     increments: tuple[GroupElement, ...]
-    positions: Sequence[GroupElement]
+    positions: Positions
 
     def __len__(self) -> int:
         return len(self.increments)
@@ -220,16 +270,17 @@ def generate_walk(measure: SymmetricMeasure, n_steps: int,
         raise ValueError(
             f"measure is not symmetric at atom {format_element(offending)}")
     support = measure.support
-    return trace_from_increments(
-        measure.descriptor, seed,
-        [support[i] for i in sample_atom_indices(measure, n_steps, seed)])
+    steps = sample_atom_indices(measure, n_steps, seed).tolist()
+    return trace_from_increments(measure.descriptor, seed,
+                                 [support[i] for i in steps])
 
 
 def trace_from_increments(descriptor: GroupDescriptor, seed: int,
                           increments) -> WalkTrace:
     """The trace whose increments are given, with their running products."""
     increments = tuple(increments)
-    if any(z.descriptor != descriptor for z in increments):
+    if any(z.descriptor is not descriptor and z.descriptor != descriptor
+           for z in increments):
         raise ValueError("increment descriptor mismatch")
     if isinstance(descriptor, Free):
         trie = PrefixTrie(descriptor.rank)
@@ -238,14 +289,11 @@ def trace_from_increments(descriptor: GroupDescriptor, seed: int,
         for z in increments:
             node = trie.mul(node, z.payload)
             ids.append(node)
-        return WalkTrace(descriptor, seed, increments,
-                         TriePositions(descriptor, trie, ids))
-    positions = []
-    acc = None
-    for z in increments:
-        acc = z if acc is None else multiply(acc, z)
-        positions.append(acc)
-    return WalkTrace(descriptor, seed, increments, tuple(positions))
+        positions = TriePositions(descriptor, trie, ids)
+    else:
+        positions = PayloadPositions(descriptor, list(accumulate(
+            (z.payload for z in increments), descriptor.mul)))
+    return WalkTrace(descriptor, seed, increments, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +335,7 @@ def write_positions_csv(trace: WalkTrace, path: str | Path,
     header = ["step", "position"]
     if is_lattice:
         header += [f"c{i+1}" for i in range(trace.descriptor.rank)]
-    if isinstance(positions, TriePositions):
-        rows = enumerate(positions.texts(), start=1)
-    else:
-        rows = ((n, format_element(x), *(x.payload if is_lattice else ()))
-                for n, x in enumerate(positions, start=1))
+    rows = enumerate(positions.texts(), start=1)
+    if is_lattice:
+        rows = ((n, text, *positions.payload(n - 1)) for n, text in rows)
     write_csv(path, meta or {}, header, rows)

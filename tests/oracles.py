@@ -35,6 +35,17 @@ def matrix_to_heisenberg(m: tuple) -> GroupElement:
     return GroupElement(heisenberg(), (m[0][1], m[1][2], m[0][2]))
 
 
+def heisenberg_ball_size_box(radius: int) -> int:
+    """|B_H(radius)| by the closed-form length on every point of the box
+    |a| + |b| <= radius, |c| <= radius**2 / 4: c sums the current a over
+    the y-letters, so h x-letters and v y-letters end at |c| <= h * v."""
+    length, top = heisenberg().length, radius * radius // 4
+    return sum(1 for a in range(-radius, radius + 1)
+               for b in range(abs(a) - radius, radius - abs(a) + 1)
+               for c in range(-top, top + 1)
+               if length((a, b, c)) <= radius)
+
+
 # ---------------------------------------------------------------------------
 # Integer determinants, half-space normals and conic combinations by subset
 # enumeration

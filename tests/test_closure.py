@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 
@@ -303,6 +304,49 @@ def test_witness_report_matches_full_inversion(descriptor, radius, cap):
     check()
     assert (False in exhausted) == (cap is not None)
     assert outside == {True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WITNESS_CASES), st.integers(0, 2**16),
+       st.sampled_from([None, "max_elements", "max_products"]), st.data())
+def test_closure_ignores_generator_order_and_repeats(case, seed, cap, data):
+    """The closure of a tail is the same result for its positions shuffled
+    and repeated, with or without a budget that truncates it."""
+    descriptor, radius = case
+    tail = list(generate_walk(uniform_standard_measure(descriptor), 60,
+                              seed=seed).positions)
+    caps = {cap: data.draw(st.integers(
+        1, 8 if cap == "max_elements" else 100))} if cap else {}
+    budget = ClosureBudget(radius, **caps)
+    again = data.draw(st.permutations(tail + data.draw(
+        st.lists(st.sampled_from(tail), max_size=20))))
+    assert closure(again, budget) == closure(tail, budget)
+
+
+def test_survey_walks_and_reports_build_no_products(monkeypatch):
+    """Walks and witness reports on H, L, Z and Z/12 multiply payloads
+    through the family, never through groups.multiply."""
+    calls = []
+    multiply = G.multiply
+
+    def counted(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("algrec") and \
+                getattr(module, "multiply", None) is multiply:
+            monkeypatch.setattr(module, "multiply", counted)
+    for descriptor, steps, radius in [
+            (G.heisenberg(), 500, 4), (G.lamplighter_z(), 500, 4),
+            (G.zpower(1), 200, 5), (G.cyclic(12), 500, 6)]:
+        trace = generate_walk(uniform_standard_measure(descriptor), steps,
+                              seed=3)
+        report = inverse_witness_report(trace, 1, ClosureBudget(radius))
+        assert len(report.rows) == steps
+    assert calls == []
+    G.multiply(G.identity(G.cyclic(12)), G.identity(G.cyclic(12)))
+    assert calls == [1]  # the counter is in place
 
 
 def test_witness_report_torsion_all_present():

@@ -5,7 +5,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from algrec import groups as G
 from conftest import SMALL_DESCRIPTORS, ball_elements, elements, generator_words
-from oracles import heisenberg_to_matrix, mat_mul, matrix_to_heisenberg
+from oracles import (
+    heisenberg_ball_size_box,
+    heisenberg_to_matrix,
+    mat_mul,
+    matrix_to_heisenberg,
+)
 
 
 def test_identity_examples():
@@ -19,6 +24,10 @@ def test_lamplighter_product_example():
     a = G.make_element(ll, (1, [0]))
     b = G.make_element(ll, (-1, [0]))
     assert G.multiply(a, b).payload == (0, (0, 1))
+    move = G.make_element(ll, (3, []))  # lights no lamp
+    c = G.make_element(ll, (2, [0, 5]))
+    assert G.multiply(c, move).payload == (5, (0, 5))
+    assert G.multiply(move, c).payload == (5, (3, 8))
 
 
 def test_free_product_cancels():
@@ -261,6 +270,12 @@ def test_ball_sizes_against_bfs():
         for radius in range(0, 13):
             assert G.ball_size(descriptor, radius) == \
                 len(G.ball_distances(descriptor, radius))
+
+
+def test_heisenberg_ball_size_matches_the_box_count():
+    h = G.heisenberg()
+    assert [h.ball_size(r) for r in range(25)] == \
+        [heisenberg_ball_size_box(r) for r in range(25)]
 
 
 @pytest.mark.parametrize("descriptor", [G.heisenberg(), G.lamplighter_z()],

@@ -71,3 +71,11 @@ def test_only_groups_refers_to_the_bfs_ball():
     found = [path.name for path in SOURCES
              if "ball_distances" in path.read_text()]
     assert found == ["groups.py"]
+
+
+def test_only_walks_and_freestats_know_the_trie_positions():
+    # Every other module reads positions through lengths() and payload(),
+    # so no per-type branch comes back into the closure or the experiments.
+    found = [path.name for path in SOURCES
+             if "TriePositions" in path.read_text()]
+    assert found == ["freestats.py", "walks.py"]

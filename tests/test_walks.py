@@ -150,39 +150,55 @@ def test_trace_from_increments_checks_descriptor():
         trace_from_increments(z, 0, [G.identity(G.zpower(2))])
 
 
+def check_positions(descriptor, atoms, data):
+    """The positions of a drawn walk, of its first step and of the empty
+    walk equal the running products as a sequence of elements."""
+    walk = [atoms[i] for i in data.draw(
+        st.lists(st.integers(0, len(atoms) - 1), max_size=40))]
+    for incs in (walk[:0], walk[:1], walk):
+        trace = trace_from_increments(descriptor, 0, incs)
+        ref = running_products(incs)
+        pos = trace.positions
+        assert len(pos) == len(ref)
+        assert list(pos) == ref
+        assert pos == tuple(ref) and tuple(ref) == pos
+        assert hash(pos) == hash(tuple(ref))
+        assert pos.lengths() == [G.word_length(x) for x in ref]
+        assert [pos.payload(i) for i in range(len(ref))] == \
+            [x.payload for x in ref]
+        for i in range(-len(ref), len(ref)):
+            assert pos[i] == ref[i]
+        for n in range(1, len(ref) + 1):
+            assert trace.position(n) == ref[n - 1]
+        for n in (0, len(ref) + 1):
+            with pytest.raises(IndexError):
+                trace.position(n)
+        bounds = st.integers(-len(ref) - 2, len(ref) + 2) | st.none()
+        cut = slice(data.draw(bounds), data.draw(bounds),
+                    data.draw(st.sampled_from([None, 1, 2, -1, -3])))
+        assert pos[cut] == tuple(ref[cut])
+        assert hash(pos[cut]) == hash(tuple(ref[cut]))
+        assert list(pos[cut][1:]) == ref[cut][1:]
+        assert trace == trace_from_increments(descriptor, 0, incs)
+        if ref:
+            other = list(ref)
+            other[-1] = G.multiply(other[-1], atoms[0])
+            assert pos != tuple(other)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(FREE_ATOMS)), st.data())
 def test_trie_positions_match_running_products(name, data):
     d, words = FREE_ATOMS[name]
     desc = G.free(d)
-    atoms = [G.make_element(desc, w) for w in words]
-    incs = [atoms[i] for i in data.draw(
-        st.lists(st.integers(0, len(atoms) - 1), max_size=40))]
-    trace = trace_from_increments(desc, 0, incs)
-    ref = running_products(incs)
-    pos = trace.positions
-    assert len(pos) == len(ref)
-    assert list(pos) == ref
-    assert pos == tuple(ref) and tuple(ref) == pos
-    assert hash(pos) == hash(tuple(ref))
-    assert pos.lengths() == [len(x.payload) for x in ref]
-    for i in range(-len(ref), len(ref)):
-        assert pos[i] == ref[i]
-    for n in range(1, len(ref) + 1):
-        assert trace.position(n) == ref[n - 1]
-    for n in (0, len(ref) + 1):
-        with pytest.raises(IndexError):
-            trace.position(n)
-    bounds = st.integers(-len(ref) - 2, len(ref) + 2) | st.none()
-    cut = slice(data.draw(bounds), data.draw(bounds),
-                data.draw(st.sampled_from([None, 1, 2, -1, -3])))
-    assert pos[cut] == tuple(ref[cut])
-    assert list(pos[cut][1:]) == ref[cut][1:]
-    assert trace == trace_from_increments(desc, 0, incs)
-    if ref:
-        other = list(ref)
-        other[-1] = G.multiply(other[-1], atoms[0])
-        assert pos != tuple(other)
+    check_positions(desc, [G.make_element(desc, w) for w in words], data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([G.zpower(2), G.free(3), G.heisenberg(),
+                        G.lamplighter_z(), G.cyclic(12)]), st.data())
+def test_positions_match_running_products(descriptor, data):
+    check_positions(descriptor, G.standard_generators(descriptor), data)
 
 
 @pytest.mark.parametrize("name,seed", [("F2 letters", 1), ("F2 pairs", 2),
