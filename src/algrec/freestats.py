@@ -9,21 +9,28 @@ log2(j) are done exactly via 2**count <= j.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .closure import ClosureResult
 from .groups import free, word_length
 from .measures import SymmetricMeasure, uniform_standard_measure
-from .walks import PrefixTrie, TriePositions, WalkTrace, sample_atom_indices
+from .walks import PrefixTrie, sample_atom_indices
 
 #: Levels above the start at which an excursion counts as an escape.
 EXCURSION_CUTOFF = 64
-#: Trials drawn per batch in cancellation_experiment.
+#: Trials drawn per batch in cancellation_experiment. The batch size fixes
+#: the order of the draws, so changing it changes every exceedance count.
 CANCEL_CHUNK = 20_000
+
+
+def _check_rank(d: int) -> None:
+    if d < 1:
+        raise ValueError("d must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -44,15 +51,6 @@ class PrefixStats:
 
     def count(self, j: int) -> int:
         return self.counts.get(j, 0)
-
-
-def prefix_counts(trace: WalkTrace, j0: int = 64) -> PrefixStats:
-    """Exact distinct-prefix counts per depth for a free-group trace."""
-    positions = trace.positions
-    if not isinstance(positions, TriePositions):
-        raise ValueError("prefix statistics need a free-group trace")
-    return PrefixStats(trace.descriptor.rank, len(trace),
-                       positions.trie.depth_counts(positions.ids), j0)
 
 
 def walk_prefix_stats(d: int, n_steps: int, seed: int, j0: int = 64,
@@ -103,8 +101,7 @@ def smallest_passing_j0(stats: PrefixStats) -> int:
 
 def return_probability(d: int) -> Fraction:
     """Exact 2d / ((2d)^2 - 2d + 1), checked against its fixed-point equation."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _check_rank(d)
     two_d = 2 * d
     p = Fraction(two_d, two_d ** 2 - two_d + 1)
     lhs = Fraction(1, two_d) + Fraction(1, two_d) * Fraction(two_d - 1, two_d) * p
@@ -119,54 +116,70 @@ def return_excursion_estimate(d: int, excursions: int, seed: int) -> float:
     One excursion starts at a level just reached from below and ends when
     the walk either drops below the level (a return) or climbs
     EXCURSION_CUTOFF levels above it (counted as escape; the neglected
-    return mass is below (2d-1)**-EXCURSION_CUTOFF). Vectorized over all
-    excursions.
+    return mass is below (2d-1)**-EXCURSION_CUTOFF). Each step draws one
+    variate per running excursion, in excursion order; only the levels of
+    the running excursions are kept, compacted in that order.
     """
+    _check_rank(d)
     if excursions < 1:
         raise ValueError("excursions must be positive")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     two_d = 2 * d
     threshold = np.uint64(round(Fraction(two_d - 1, two_d) * (1 << 64)))
-    level = np.zeros(excursions, dtype=np.int32)
-    active = np.ones(excursions, dtype=bool)
-    returned = np.zeros(excursions, dtype=bool)
-    while active.any():
-        n = int(active.sum())
-        ups = rng.integers(0, 1 << 64, size=n, dtype=np.uint64) < threshold
-        steps = np.where(ups, np.int32(1), np.int32(-1))
-        level[active] += steps
-        hit = active & (level < 0)
-        returned |= hit
-        active &= (level >= 0) & (level < EXCURSION_CUTOFF)
-    return float(returned.mean())
+    level = np.zeros(excursions, dtype=np.int8)
+    returns = 0
+    while level.size:
+        ups = rng.integers(0, 1 << 64, size=level.size, dtype=np.uint64) < threshold
+        level += ups  # +1 on an up step,
+        level -= ~ups  # -1 on a down step
+        returns += int(np.count_nonzero(level < 0))
+        level = level[(level >= 0) & (level < EXCURSION_CUTOFF)]
+    return returns / excursions
 
 
 # ---------------------------------------------------------------------------
 # Cancellation
+
+def _reduced_code_rows(d: int, length: int, count: int,
+                       rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The letter codes of ``count`` uniform reduced words, one int16 row
+    per position, each row drawn as it is asked for.
+
+    Letters are coded 0..2d-1: code k < d is letter k+1, else -(k-d+1). The
+    first code is uniform over the 2d codes; each later one is uniform over
+    the 2d - 1 that do not cancel the code before it in the same word.
+    random_reduced_words and cancellation_experiment both draw through
+    here, so their draw order has this one definition.
+    """
+    two_d = 2 * d
+    inverse_code = np.array([*range(d, two_d), *range(d)], dtype=np.int16)
+    row = rng.integers(0, two_d, size=count, dtype=np.int16)
+    yield row
+    for _ in range(1, length):
+        draw = rng.integers(0, two_d - 1, size=count, dtype=np.int16)
+        draw += draw >= inverse_code[row]
+        row = draw
+        yield row
+
 
 def random_reduced_words(d: int, length: int, count: int,
                          rng: np.random.Generator) -> np.ndarray:
     """Uniform reduced words as a (count, length) array of signed letters.
 
     First letter uniform over the 2d letters, each later letter uniform over
-    the 2d - 1 letters that do not cancel the previous one. The letters are
-    drawn position by position into a (length, count) array, so each draw
-    fills a contiguous row; the result is its transposed view, since a
-    contiguous copy would hold the whole array twice.
+    the 2d - 1 letters that do not cancel the previous one. The words come
+    from the code rows of _reduced_code_rows, the draws that
+    cancellation_experiment makes too; each row's letters are written into
+    a (length, count) array, and the result is its transposed view.
     """
+    _check_rank(d)
     if length < 1:
         raise ValueError("length must be >= 1")
-    two_d = 2 * d
-    # Letters are coded 0..2d-1: code k < d is letter k+1, else -(k-d+1).
-    inverse_code = np.array([*range(d, two_d), *range(d)], dtype=np.int16)
-    codes = np.empty((length, count), dtype=np.int16)
-    codes[0] = rng.integers(0, two_d, size=count, dtype=np.int16)
-    for pos in range(1, length):
-        inverse = inverse_code[codes[pos - 1]]
-        draw = rng.integers(0, two_d - 1, size=count, dtype=np.int16)
-        codes[pos] = draw + (draw >= inverse)
     letters = np.array([*range(1, d + 1), *range(-1, -d - 1, -1)], dtype=np.int16)
-    return letters[codes].T
+    words = np.empty((length, count), dtype=np.int16)
+    for pos, row in enumerate(_reduced_code_rows(d, length, count, rng)):
+        np.take(letters, row, out=words[pos])
+    return words.T
 
 
 @dataclass(frozen=True)
@@ -201,39 +214,48 @@ def cancellation_experiment(d: int, trials: int, pool: Sequence[Sequence[int]],
     Each trial pairs a fresh X with a pool word chosen uniformly; the
     exceedance count per length is compared against the analytic bound
     (2d-1)**(-log2 s) by the caller. Pool words are signed-letter tuples.
-    Trials are processed in chunks of CANCEL_CHUNK to bound memory.
+
+    A chunk of CANCEL_CHUNK trials draws its words position by position,
+    then its pool-word choices. A trial exceeds when its first ``depth``
+    letters cancel, depth being the least count above log2 s, so only the
+    last min(s, longest pool word, depth) code rows of a chunk are kept and
+    compared with the chosen words' inverse codes, last row first.
     """
+    _check_rank(d)
     if trials < 1 or not pool:
         raise ValueError("need trials >= 1 and a nonempty pool")
-    words = []
-    for w in pool:
-        letters = tuple(w)
-        if not letters:
+    words = [tuple(w) for w in pool]
+    for w in words:
+        if not w:
             raise ValueError("pool words must be nonempty")
-        if any(a == -b for a, b in zip(letters, letters[1:])):
+        if any(not 1 <= abs(a) <= d for a in w):
+            raise ValueError(f"pool word {w} has letters outside +-1..+-{d}")
+        if any(a == -b for a, b in zip(w, w[1:])):
             raise ValueError("pool words must be reduced")
-        words.append(np.array(letters, dtype=np.int16))
+    longest = max(map(len, words))
+    # inverse_codes[i, t] is the code of the inverse of letter t of word i,
+    # -1 (no code) past its end.
+    inverse_codes = np.full((len(words), longest), -1, dtype=np.int16)
+    for i, w in enumerate(words):
+        inverse_codes[i, :len(w)] = [a - 1 + d if a > 0 else -a - 1 for a in w]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     rows = []
     for s in lengths:
+        if s < 1:
+            raise ValueError("length must be >= 1")
+        depth = math.floor(math.log2(s)) + 1
+        kept = min(s, longest, depth)
         exceed = 0
-        done = 0
-        while done < trials:
+        for done in range(0, trials, CANCEL_CHUNK):
             batch = min(CANCEL_CHUNK, trials - done)
-            xs = random_reduced_words(d, s, batch, rng)
+            tail = deque(_reduced_code_rows(d, s, batch, rng), maxlen=kept)
             which = rng.integers(0, len(words), size=batch)
-            cancels = np.zeros(batch, dtype=np.int64)
-            for wi, w in enumerate(words):
-                mask = which == wi
-                if not mask.any():
-                    continue
-                sub = xs[mask]
-                m = min(s, len(w))
-                # sub[:, s-1-t] must equal -w[t] for all t < cancel
-                agree = sub[:, s - 1 - np.arange(m)] == -w[: m]
-                cancels[mask] = np.logical_and.accumulate(agree, axis=1).sum(axis=1)
-            exceed += int((cancels > math.log2(s)).sum())
-            done += batch
+            if kept < depth:
+                continue
+            agree = np.ones(batch, dtype=bool)
+            for t, row in enumerate(reversed(tail)):
+                agree &= row == inverse_codes[which, t]
+            exceed += int(np.count_nonzero(agree))
         rows.append(ExceedanceRow(s, trials, exceed))
     return CancellationSample(d, seed, tuple(rows))
 

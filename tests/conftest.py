@@ -1,7 +1,13 @@
-"""Shared hypothesis strategies and fixtures."""
+"""Shared hypothesis strategies, fixtures and the child-process memory probe."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import strategies as st
 
 from algrec import groups as G
@@ -60,3 +66,30 @@ def generator_words(descriptor: G.GroupDescriptor,
         return acc
 
     return st.lists(st.integers(0, len(gens) - 1), max_size=max_length).map(build)
+
+
+_VM = ("def vm(key):\n"
+       "    with open('/proc/self/status') as fh:\n"
+       "        return int(next(line.split()[1] for line in fh\n"
+       "                        if line.startswith(key + ':')))\n")
+
+
+def child_output(script: str, *args: str) -> list[str]:
+    """Run ``script`` with ``args`` in a fresh interpreter that imports
+    algrec from this checkout; return the words of its last output line.
+
+    The script may call ``vm(key)``: the ``/proc/self/status`` entry
+    ``key`` in kB, such as VmHWM, the high-water mark of the child's own
+    address space. RUSAGE_SELF would carry over the peak of the test
+    process that started it, and RUSAGE_CHILDREN that of other tests'
+    children. Skips where /proc is absent.
+    """
+    if not Path("/proc/self/status").exists():
+        pytest.skip("reads the peak resident set from /proc")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", _VM + script, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()

@@ -9,6 +9,16 @@ from bisect import insort
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
+
+from algrec.freestats import (
+    CANCEL_CHUNK,
+    EXCURSION_CUTOFF,
+    CancellationSample,
+    ExceedanceRow,
+    PrefixStats,
+    random_reduced_words,
+)
 from algrec.groups import (
     GroupElement,
     canonical_key,
@@ -16,6 +26,7 @@ from algrec.groups import (
     multiply,
     word_length_within,
 )
+from algrec.walks import TriePositions
 
 # ---------------------------------------------------------------------------
 # Heisenberg via 3x3 upper-unitriangular integer matrices
@@ -270,8 +281,71 @@ def cancel(x: GroupElement, y: GroupElement) -> int:
     return c
 
 
+def whole_array_cancellation_experiment(d, trials, pool, seed,
+                                        lengths=(16, 64, 256)):
+    """cancellation_experiment on whole arrays: each chunk holds all its
+    words as letters and gathers the rows of each pool word's trials."""
+    words = [np.array(tuple(w), dtype=np.int16) for w in pool]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rows = []
+    for s in lengths:
+        exceed = 0
+        done = 0
+        while done < trials:
+            batch = min(CANCEL_CHUNK, trials - done)
+            xs = random_reduced_words(d, s, batch, rng)
+            which = rng.integers(0, len(words), size=batch)
+            cancels = np.zeros(batch, dtype=np.int64)
+            for wi, w in enumerate(words):
+                mask = which == wi
+                if not mask.any():
+                    continue
+                sub = xs[mask]
+                m = min(s, len(w))
+                # sub[:, s-1-t] must equal -w[t] for all t < cancel
+                agree = sub[:, s - 1 - np.arange(m)] == -w[: m]
+                cancels[mask] = np.logical_and.accumulate(agree, axis=1).sum(axis=1)
+            exceed += int((cancels > math.log2(s)).sum())
+            done += batch
+        rows.append(ExceedanceRow(s, trials, exceed))
+    return CancellationSample(d, seed, tuple(rows))
+
+
 # ---------------------------------------------------------------------------
-# Quadratic prefix recount
+# The level walk on full arrays
+
+def full_array_excursion_estimate(d: int, excursions: int, seed: int) -> float:
+    """return_excursion_estimate over arrays of every excursion, finished
+    ones masked out rather than dropped."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    two_d = 2 * d
+    threshold = np.uint64(round(Fraction(two_d - 1, two_d) * (1 << 64)))
+    level = np.zeros(excursions, dtype=np.int32)
+    active = np.ones(excursions, dtype=bool)
+    returned = np.zeros(excursions, dtype=bool)
+    while active.any():
+        n = int(active.sum())
+        ups = rng.integers(0, 1 << 64, size=n, dtype=np.uint64) < threshold
+        steps = np.where(ups, np.int32(1), np.int32(-1))
+        level[active] += steps
+        hit = active & (level < 0)
+        returned |= hit
+        active &= (level >= 0) & (level < EXCURSION_CUTOFF)
+    return float(returned.mean())
+
+
+# ---------------------------------------------------------------------------
+# Prefix counts
+
+def prefix_counts(trace, j0: int = 64) -> PrefixStats:
+    """Exact distinct-prefix counts per depth for a free-group trace, read
+    off the trie that holds its positions."""
+    positions = trace.positions
+    if not isinstance(positions, TriePositions):
+        raise ValueError("prefix statistics need a free-group trace")
+    return PrefixStats(trace.descriptor.rank, len(trace),
+                       positions.trie.depth_counts(positions.ids), j0)
+
 
 def quadratic_prefix_counts(trace) -> dict[int, int]:
     """Distinct length-j prefixes by scanning every position's prefixes."""

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from algrec import closure, experiments, freestats, groups as G
+from algrec import closure, experiments, groups as G
 from algrec.cli import main
 from algrec.config import (
     ConfigError,
@@ -20,6 +20,7 @@ from algrec.config import (
     parse_config,
 )
 from algrec.walks import generate_walk
+from oracles import prefix_counts
 
 
 def test_config_roundtrip_canonical():
@@ -373,7 +374,7 @@ def test_cli_free_stats_uses_configured_measure(tmp_path):
     out = tmp_path / "out"
     assert main(["free-stats", "--config", cfg, "--out", str(out),
                  "--seed", "4"]) == 0
-    stats = freestats.prefix_counts(
+    stats = prefix_counts(
         generate_walk(build_measure(load_config(cfg)), 300, seed=4))
     rows = [l.split(",") for l in (out / "prefix_vj_seed4.csv").read_text()
             .splitlines() if l and not l.startswith("#")][1:]

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from algrec import groups as G
 from algrec.closure import ClosureBudget, closure
 from algrec.freestats import (
+    CANCEL_CHUNK,
     LogBoundCheck,
     PrefixStats,
     cancellation_bound,
     cancellation_experiment,
     log_bound_check,
-    prefix_counts,
     random_reduced_words,
     return_excursion_estimate,
     return_probability,
@@ -24,7 +25,14 @@ from algrec.freestats import (
 )
 from algrec.measures import make_measure, uniform_standard_measure
 from algrec.walks import WalkTrace, generate_walk, trace_from_increments
-from oracles import cancel, quadratic_prefix_counts
+from conftest import child_output
+from oracles import (
+    cancel,
+    full_array_excursion_estimate,
+    prefix_counts,
+    quadratic_prefix_counts,
+    whole_array_cancellation_experiment,
+)
 
 
 def f_el(d, letters):
@@ -167,6 +175,24 @@ def test_return_excursion_estimates_pinned_seeds():
         assert abs(estimate - exact) <= 0.01
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("excursions,seed", [(1, 1), (1, 2), (7, 3), (20_000, 4)])
+def test_return_excursion_estimate_matches_full_array_oracle(d, excursions, seed):
+    assert return_excursion_estimate(d, excursions, seed) == \
+        full_array_excursion_estimate(d, excursions, seed)
+
+
+def test_free_statistics_reject_rank_zero():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
+    calls = [lambda: return_probability(0),
+             lambda: return_excursion_estimate(0, 10, 1),
+             lambda: random_reduced_words(0, 4, 3, rng),
+             lambda: cancellation_experiment(0, 10, [(1,)], seed=0)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^d must be >= 1$"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Cancellation
 
@@ -280,11 +306,58 @@ def test_cancellation_experiment_counts_match_oracle():
     assert sample.table[0].exceed_count > 0
 
 
+def _pool(d, seed):
+    """Eight reduced words of length 64, then prefixes of them of lengths
+    1, 3 and 9, so the pool's words differ in length."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([d, seed])))
+    words = [tuple(int(x) for x in w) for w in random_reduced_words(d, 64, 8, rng)]
+    return words + [words[0][:1], words[1][:3], words[2][:9]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("pool_lengths", [None, (3,), (1, 2, 5)])
+def test_cancellation_experiment_matches_whole_array_oracle(d, pool_lengths):
+    """Across a chunk boundary, at word lengths s below, at and above the
+    pool words' lengths, and at lengths that are not powers of 2. Given
+    pool_lengths, the pool keeps that many of its words, cut to them."""
+    pool = _pool(d, 3)
+    if pool_lengths is not None:
+        pool = [w[:n] for w, n in zip(pool, pool_lengths)]
+    args = (d, CANCEL_CHUNK + 1, pool, 17, (1, 2, 3, 5, 9, 16, 65, 256))
+    assert cancellation_experiment(*args) == \
+        whole_array_cancellation_experiment(*args)
+
+
 def test_cancellation_experiment_validates_pool():
     with pytest.raises(ValueError):
         cancellation_experiment(5, 10, [()], seed=0)
     with pytest.raises(ValueError):
         cancellation_experiment(5, 10, [(1, -1)], seed=0)
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        cancellation_experiment(5, 10, [(1,)], seed=0, lengths=(4, 0))
+
+
+@pytest.mark.parametrize("d,word", [(5, (7, 1)), (5, (1, -6)), (2, (0,)),
+                                    (2, (1, 0, 2))])
+def test_cancellation_experiment_rejects_foreign_letters(d, word):
+    with pytest.raises(ValueError, match=f"pool word {re.escape(str(word))}"):
+        cancellation_experiment(d, 10, [(1,), word], seed=0)
+
+
+def test_cancellation_chunk_memory_is_bounded():
+    """One 20k-trial chunk at s = 256 raises the high-water mark by less
+    than 8 MB: the whole-array kernel held about 24 MB of words for it."""
+    rise_kb, = child_output(
+        "import numpy as np\n"
+        "from algrec.freestats import cancellation_experiment as run, "
+        "random_reduced_words\n"
+        "rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([11, 1])))\n"
+        "pool = [tuple(int(x) for x in w) for w in random_reduced_words(5, 64, 8, rng)]\n"
+        "run(5, 10, pool, 1, (256,))\n"
+        "before = vm('VmRSS')\n"
+        "run(5, 20_000, pool, 11, (256,))\n"
+        "print(vm('VmHWM') - before)\n")
+    assert int(rise_kb) < 8 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ _TAIL_VERDICTS = "homomorphism for the exact tail verdicts, ROADMAP open item 1"
 #: each with the reason it stays.
 UNREFERENCED_OK = {
     "nilpotent_identity_check": "test oracle for nilpotent_identity_grid",
-    "prefix_counts": "test oracle for the streaming walk_prefix_stats",
     "read_trace": "test oracle: parses write_trace output back",
     "abelianize": _TAIL_VERDICTS,
     "mod_m": _TAIL_VERDICTS,
@@ -76,6 +75,8 @@ def test_only_groups_refers_to_the_bfs_ball():
 def test_only_walks_and_freestats_know_the_trie_positions():
     # Every other module reads positions through lengths() and payload(),
     # so no per-type branch comes back into the closure or the experiments.
+    # freestats streams its own trie; the prefix-count oracle that reads a
+    # trace's trie lives in tests/oracles.py.
     found = [path.name for path in SOURCES
              if "TriePositions" in path.read_text()]
-    assert found == ["freestats.py", "walks.py"]
+    assert found == ["walks.py"]

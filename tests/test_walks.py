@@ -1,10 +1,6 @@
 import math
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +17,7 @@ from algrec.walks import (
     write_positions_csv,
     write_trace,
 )
+from conftest import child_output
 
 #: Free-group step sets: single letters, and two-letter atoms whose
 #: products cancel across increment boundaries.
@@ -222,30 +219,16 @@ def test_free_positions_csv_within_budget(tmp_path):
     assert time.perf_counter() - start < 0.3
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(),
-                    reason="reads the peak resident set from /proc")
 def test_long_free_closure_memory_is_linear(tmp_path):
     """A 20k-step F_5 closure run stays far below the gigabyte that full
-    reduced-word positions take. The child reports the high-water mark of
-    its own address space (VmHWM): RUSAGE_SELF would carry over the peak of
-    the test process that started it, and RUSAGE_CHILDREN that of other
-    tests' children."""
+    reduced-word positions take."""
     cfg = tmp_path / "long.cfg"
     cfg.write_text("[group]\nkind = Free(5)\n[walk]\nsteps = 20000\n"
                    "[budget]\nradius = 4\n[run]\nseeds = 1\n")
-    script = ("import sys\n"
-              "from algrec.cli import main\n"
-              "code = main(sys.argv[1:])\n"
-              "peak = next(line.split()[1] for line in open('/proc/self/status')\n"
-              "            if line.startswith('VmHWM:'))\n"
-              "print(code, peak)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run(
-        [sys.executable, "-c", script, "closure", "--config", str(cfg),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=300)
-    code, peak_kb = done.stdout.split()[-2:]
+    code, peak_kb = child_output(
+        "import sys\n"
+        "from algrec.cli import main\n"
+        "print(main(sys.argv[1:]), vm('VmHWM'))\n",
+        "closure", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert code == "0"
     assert int(peak_kb) < 150 * 1024
