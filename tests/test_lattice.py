@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -327,6 +328,30 @@ def _walk_positions(d: int, points: int, rng: random.Random):
         pos[rng.randrange(d)] += rng.choice((1, -1))
         seen.setdefault(tuple(pos), None)
     return list(seen)
+
+
+def _pin_corpus() -> list[list[tuple[int, ...]]]:
+    """Seeded sets: _random_set sets in Z^1-Z^4 and the lattice benchmark's
+    shapes (Z^2 sets of 1-4 vectors from the 7x7 box, Z^2/Z^3/Z^4 walk
+    positions, 20-vector Z^4 boxes)."""
+    rng = random.Random(4242)
+    box = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)]
+    sets = [_random_set(rng) for _ in range(1500)]
+    sets += [rng.sample(box, rng.randint(1, 4)) for _ in range(1000)]
+    for d, points in ((2, 200), (3, 140), (4, 36)):
+        sets += [_walk_positions(d, points, rng) for _ in range(6)]
+    sets += [[tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(20)]
+             for _ in range(6)]
+    return sets
+
+
+def test_classification_pinned_on_a_seeded_corpus():
+    # Every field of every classification: kind, normal, index, rank, the
+    # Smith report, and the hull witness's points and coefficients.
+    digest = hashlib.sha256()
+    for vecs in _pin_corpus():
+        digest.update(repr(classify_subsemigroup(vecs)).encode() + b"\n")
+    assert digest.hexdigest()[:16] == "8c7a43ae5d1dc1bf"
 
 
 @pytest.mark.parametrize("kind", ["box200", "trace36"])
