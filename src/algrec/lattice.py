@@ -13,17 +13,29 @@ certificate is returned only when the origin is interior to the hull. In
 that case the semigroup generated equals the group generated and the
 classification is exact.
 
-The half-space normal of a spanning set V is the primitive sum of the
-extreme rays of its dual cone C* = {n : n.v >= 0 for every v in V}, found
-by the double description method (Motzkin et al. 1953; Fukuda & Prodon
-1996) in integer arithmetic. Because V spans, C* is pointed, and its
-extreme rays are exactly the primitive normals of (d-1)-subsets of V that
-are nonnegative on all of V: a ray of C* is extreme when the vectors it is
-orthogonal to have rank d-1. So the normal is the sum over all valid subset
-normals, without enumerating the C(n, d-1) subsets. No extreme ray means
-C* = {0}: the origin is interior, and phase one of the simplex method with
-Bland's rule (Bland 1977), on a d-row integer tableau, finds the positive
+The hull decision makes one fraction-free Gauss-Jordan elimination of the
+d x (n + d) matrix [V^T | I]: the n vectors as columns, the identity
+appended. Row r's identity part y_r records the combination of coordinates
+that formed the row, so y_r.v_j is the row's entry in column j. The pivot
+count decides whether V spans. If it does not, a row without a pivot gives
+a normal orthogonal to every vector. If it does, the pivot columns pick d
+independent vectors, and each y_r, orthogonal to all of them but one, is a
+ray of their simplicial cone.
+
+From that start cone the double description method (Motzkin et al. 1953;
+Fukuda & Prodon 1996) finds, in integer arithmetic, the extreme rays of the
+dual cone C* = {n : n.v >= 0 for every v in V}. Because V spans, C* is
+pointed, and its extreme rays are exactly the primitive normals of
+(d-1)-subsets of V that are nonnegative on all of V: a ray of C* is extreme
+when the vectors it is orthogonal to have rank d-1. So the half-space
+normal is the sum over all valid subset normals, without enumerating the
+C(n, d-1) subsets. No extreme ray means C* = {0}: the origin is interior,
+and phase one of the simplex method with Bland's rule (Bland 1977), on a
+d-row integer tableau, completes the d pivot vectors to the positive
 certificate.
+
+The classification decides the hull first. Only a set that does not span
+is then written in coordinates of a basis of its span and decided there.
 
 The Smith report is taken on an echelon basis of the generated lattice, at
 most d rows found by Euclid row steps, so its cost does not grow with the
@@ -35,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Vec = tuple[int, ...]
@@ -51,7 +64,7 @@ def _as_vectors(vectors: Sequence[Sequence[int]]) -> list[Vec]:
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _primitive(v: Vec) -> Vec:
@@ -261,21 +274,6 @@ def _clear_denominators(pairs: Sequence[tuple[int, int]]) -> Vec:
     return tuple(p * lcm // q for p, q in pairs)
 
 
-def _kernel_vector(vectors: Sequence[Vec], d: int) -> Vec | None:
-    """Some nonzero integer vector orthogonal to all inputs, if one exists."""
-    rows = [list(v) for v in vectors]
-    pivots = _echelon(rows, d)
-    if len(pivots) == d:
-        return None
-    free = next(j for j in range(d) if j not in pivots)
-    scale = math.lcm(*[rows[r][p] for r, p in enumerate(pivots)])
-    sol = [0] * d
-    sol[free] = scale
-    for r, p in enumerate(pivots):
-        sol[p] = -rows[r][free] * scale // rows[r][p]
-    return _primitive(tuple(sol))
-
-
 def _solve_unique(basis: Sequence[Vec], target: Vec) -> list[Fraction] | None:
     """Unique exact solution of sum t_i b_i = target, else None."""
     k = len(basis)
@@ -310,48 +308,56 @@ class ZeroInHullWitness:
 ConeWitness = HalfSpaceWitness | ZeroInHullWitness
 
 
-def _dual_extreme_rays(vecs: list[Vec], d: int) -> list[Vec]:
+def _dual_extreme_rays(vecs: list[Vec], rows: list[list[int]],
+                       basis: list[int]) -> list[Vec]:
     """Primitive extreme rays of the dual cone {n : n.v >= 0 for all v}.
 
-    Double description on a spanning set: start from the simplicial cone of
-    d independent vectors and add the other vectors one at a time. Each ray
-    carries its zero set, a bit mask of the vectors it is orthogonal to.
+    Double description on a spanning set. The start cone is the simplicial
+    cone of the `basis` vectors, whose rays are the identity parts of the
+    echelon `rows` of [V^T | I] (see the module docstring), each made
+    primitive and signed by its pivot entry; the other vectors are added
+    one at a time. Each ray carries its zero set, a bit mask of the vectors
+    it is orthogonal to.
     """
-    basis = _column_echelon(vecs)[1]
+    n, d = len(vecs), len(basis)
+    in_basis = sum(1 << j for j in basis)
     rays: list[Vec] = []
     zeros: list[int] = []
-    for j in basis:
-        ray = _kernel_vector([vecs[i] for i in basis if i != j], d)
-        if _dot(ray, vecs[j]) < 0:
-            ray = tuple(-x for x in ray)
-        rays.append(ray)
-        zeros.append(sum(1 << i for i in basis if i != j))
-    skip = set(basis)
+    for row, j in zip(rows, basis):
+        ray = _primitive(tuple(row[n:]))
+        rays.append(ray if row[j] > 0 else tuple(-x for x in ray))
+        zeros.append(in_basis ^ 1 << j)
     for k, v in enumerate(vecs):
-        if k in skip:
+        if in_basis >> k & 1:
             continue
-        dots = [_dot(r, v) for r in rays]
+        bit = 1 << k
+        dots = [sum(map(mul, r, v)) for r in rays]
+        if min(dots) >= 0:
+            # Every ray is on the vector's side, so its inequality is implied
+            # by the earlier ones: a facet it defines, an earlier vector
+            # defines too, and its zero bits never change an adjacency test.
+            continue
         new_rays = [r for r, t in zip(rays, dots) if t >= 0]
-        new_zeros = [z | (1 << k if t == 0 else 0)
+        new_zeros = [z if t else z | bit
                      for z, t in zip(zeros, dots) if t >= 0]
-        positive = [i for i, t in enumerate(dots) if t > 0]
-        negative = [i for i, t in enumerate(dots) if t < 0]
-        for p in positive:
-            for q in negative:
+        negative = [(r, z, t) for r, z, t in zip(rays, zeros, dots) if t < 0]
+        for p, zp, tp in zip(rays, zeros, dots):
+            if tp <= 0:
+                continue
+            for q, zq, tq in negative:
                 # Adjacent: the smallest face holding p and q holds no
-                # third ray. The count is a quick necessary condition.
-                common = zeros[p] & zeros[q]
-                if common.bit_count() < d - 2 or any(
-                        common & z == common
-                        for i, z in enumerate(zeros) if i != p and i != q):
+                # third ray, so exactly two zero sets contain `common`. The
+                # bit count is a quick necessary condition.
+                common = zp & zq
+                if common.bit_count() < d - 2 or list(
+                        map(common.__and__, zeros)).count(common) != 2:
                     continue
                 new_rays.append(_primitive(tuple(
-                    dots[p] * b - dots[q] * a
-                    for a, b in zip(rays[p], rays[q]))))
-                new_zeros.append(common | 1 << k)
+                    tp * b - tq * a for a, b in zip(p, q))))
+                new_zeros.append(common | bit)
+        if not new_rays:
+            return []
         rays, zeros = new_rays, new_zeros
-        if not rays:
-            break
     return rays
 
 
@@ -373,11 +379,19 @@ def zero_in_convex_hull(vectors: Sequence[Sequence[int]]) -> ConeWitness:
     nonzero = [v for v in dict.fromkeys(vecs) if any(v)]
     if not nonzero:
         return HalfSpaceWitness(tuple([1] + [0] * (d - 1)))
-    normal = _kernel_vector(nonzero, d)
-    if normal is None:
-        rays = _dual_extreme_rays(nonzero, d)
+    # [V^T | I], eliminated once (see the module docstring).
+    n = len(nonzero)
+    rows = [list(col) + [int(i == c) for i in range(d)]
+            for c, col in enumerate(zip(*nonzero))]
+    basis = _echelon(rows, n)
+    if len(basis) < d:
+        # A row without a pivot is zero on every vector, so its identity
+        # part is orthogonal to the span.
+        normal = _primitive(tuple(rows[-1][n:]))
+    else:
+        rays = _dual_extreme_rays(nonzero, rows, basis)
         if not rays:
-            return _positive_certificate(nonzero, d)
+            return _positive_certificate(nonzero, basis)
         # The set spans, so the dual cone is pointed: the sum of its extreme
         # rays is nonzero, and it is valid because each summand is.
         normal = _primitive(tuple(map(sum, zip(*rays))))
@@ -434,10 +448,12 @@ def _conic_solution(vecs: Sequence[Vec],
             for j, row in zip(basis, rows) if j < n and row[n]}
 
 
-def _positive_certificate(vecs: list[Vec], d: int) -> ZeroInHullWitness:
-    base_idx = _column_echelon(vecs)[1]
-    if len(base_idx) != d:
-        raise ArithmeticError("vectors do not span the space")
+def _positive_certificate(vecs: list[Vec],
+                          base_idx: list[int]) -> ZeroInHullWitness:
+    """Positive combination summing to zero: the d independent vectors
+    vecs[base_idx] at coefficient 1, plus a conic solution for minus their
+    sum."""
+    d = len(vecs[0])
     target = tuple(-sum(vecs[i][c] for i in base_idx) for c in range(d))
     coeffs: dict[int, Fraction] = {i: Fraction(1) for i in base_idx}
     if any(target):
@@ -538,12 +554,8 @@ def classify_subsemigroup(
         report = subgroup_index(vecs)
         return SubsemigroupClassification(IN_PROPER_SUBGROUP, rank=0,
                                           report=report)
-    reduction = _span_coordinates(nonzero)
-    if reduction is None:
-        witness = zero_in_convex_hull(nonzero)
-        if isinstance(witness, HalfSpaceWitness):
-            return SubsemigroupClassification(IN_HALF_SPACE,
-                                              normal=witness.normal)
+    witness = zero_in_convex_hull(nonzero)
+    if isinstance(witness, ZeroInHullWitness):
         report = subgroup_index(vecs)
         if report.index == 1:
             return SubsemigroupClassification(FULL, report=report,
@@ -552,7 +564,11 @@ def classify_subsemigroup(
                                           index=report.index,
                                           rank=report.rank, report=report,
                                           hull_witness=witness)
-    basis, coords = reduction
+    if any(_dot(witness.normal, v) for v in nonzero):
+        return SubsemigroupClassification(IN_HALF_SPACE, normal=witness.normal)
+    # A normal orthogonal to every vector: the set does not span, so decide
+    # in coordinates of a basis of its span.
+    basis, coords = _span_coordinates(nonzero)
     witness = zero_in_convex_hull(coords)
     if isinstance(witness, HalfSpaceWitness):
         normal = _lift_normal(basis, witness.normal)

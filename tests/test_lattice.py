@@ -202,14 +202,16 @@ def test_conic_solution_agrees_with_subset_oracle(vectors):
         assert sol is not None and all(t >= 0 for t in sol.values())
         assert tuple(sum(t * vecs[i][c] for i, t in sol.items())
                      for c in range(d)) == target
-    _verify_certificate(_positive_certificate(vecs, d), d)
+    witness = _positive_certificate(vecs, _column_echelon(vecs)[1])
+    _verify_certificate(witness, d)
 
 
 def test_conic_solution_none_outside_the_cone():
     assert _conic_solution([(1, 0), (0, 1)], (-1, 0)) is None
     assert subset_conic_solution([(1, 0), (0, 1)], (-1, 0)) is None
     with pytest.raises(ArithmeticError, match="no conic combination"):
-        _positive_certificate([(1, 0), (0, 1)], 2)
+        _positive_certificate([(1, 0), (0, 1)],
+                              _column_echelon([(1, 0), (0, 1)])[1])
 
 
 def test_hull_empty_rejected():
@@ -352,6 +354,35 @@ def test_classification_pinned_on_a_seeded_corpus():
     for vecs in _pin_corpus():
         digest.update(repr(classify_subsemigroup(vecs)).encode() + b"\n")
     assert digest.hexdigest()[:16] == "8c7a43ae5d1dc1bf"
+
+
+def test_large_sets_match_separator_enumeration():
+    # The many-ray double description at the lattice benchmark's sizes:
+    # 36-point Z^4 and 140-point Z^3 walk positions and 20-vector Z^4 boxes,
+    # all spanning. A half-space normal is the primitive sum of the valid
+    # (d-1)-subset normals; a hull witness exists only when none is valid.
+    rng = random.Random(5)
+    sets = [_walk_positions(d, points, rng)
+            for d, points in [(4, 36)] * 4 + [(3, 140)] * 4]
+    sets += [[tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(20)]
+             for _ in range(4)]
+    kinds = set()
+    for vecs in sets:
+        d = len(vecs[0])
+        assert subgroup_index(vecs).rank == d
+        result = classify_subsemigroup(vecs)
+        kinds.add(result.kind)
+        valid = [n for n in separator_normals(vecs)
+                 if all(_dot(n, v) >= 0 for v in vecs)]
+        if result.kind == IN_HALF_SPACE:
+            total = [sum(col) for col in zip(*valid)]
+            g = math.gcd(*total)
+            assert result.normal == tuple(x // g for x in total), vecs
+        else:
+            assert not valid, vecs
+            assert set(result.hull_witness.points) <= set(vecs)
+            _verify_certificate(result.hull_witness, d)
+    assert {FULL, IN_HALF_SPACE} <= kinds
 
 
 @pytest.mark.parametrize("kind", ["box200", "trace36"])
