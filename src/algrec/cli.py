@@ -36,7 +36,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .groups import format_element, parse_element
+from .groups import Free, format_element, parse_element
 from .identities import (
     nilpotent_identity_grid,
     torsion_inverse_witness,
@@ -226,7 +226,7 @@ def cmd_lattice_classify(args) -> int:
 
 def cmd_free_stats(args) -> int:
     config = _load(args)
-    if config.group.kind != "Free":
+    if not isinstance(config.group, Free):
         raise ConfigError("group.kind", "free-stats requires a Free(d) group")
     d = config.group.rank
     measure = _tail_measure(config, "free-stats")

@@ -61,8 +61,10 @@ from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from .groups import (
+    CyclicZ,
     GroupDescriptor,
     GroupElement,
+    ZPower,
     ball_size,
     canonical_key,
     format_element,
@@ -394,7 +396,7 @@ def brute_force_abelian_closure(generators: Iterable[GroupElement],
     if not gens:
         return frozenset()
     desc = gens[0].descriptor
-    if desc.kind not in ("ZPower", "CyclicZ"):
+    if not isinstance(desc, (ZPower, CyclicZ)):
         raise ValueError("oracle only supports ZPower and CyclicZ")
     max_gen = max(word_length_within(g, radius) for g in gens)
     window = radius + max_gen

@@ -20,10 +20,10 @@ from typing import get_type_hints
 
 from .groups import (
     GroupDescriptor,
+    ZPower,
     format_element,
     parse_descriptor,
     parse_element,
-    zpower,
 )
 from .measures import (
     SymmetricMeasure,
@@ -54,7 +54,7 @@ def _key(path: str, default, *, minimum: int | None = None):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    group: GroupDescriptor = _key("group.kind", zpower(1))
+    group: GroupDescriptor = _key("group.kind", ZPower(1))
     # standard | heavy-tail | explicit
     measure_kind: str = _key("measure.kind", "standard")
     heavy_alpha: Fraction = _key("measure.alpha", Fraction(2))
@@ -220,7 +220,7 @@ def build_measure(config: ScenarioConfig) -> SymmetricMeasure:
     if config.measure_kind == "standard":
         return uniform_standard_measure(config.group)
     if config.measure_kind == "heavy-tail":
-        if config.group != zpower(2):
+        if config.group != ZPower(2):
             raise ConfigError("measure.kind",
                               "heavy-tail measure requires group ZPower(2)")
         if config.heavy_alpha <= 1:

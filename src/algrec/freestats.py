@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .closure import ClosureResult
-from .groups import free, word_length
+from .groups import Free, word_length
 from .measures import SymmetricMeasure, uniform_standard_measure
 from .walks import PrefixTrie, sample_atom_indices
 
@@ -61,7 +61,7 @@ def walk_prefix_stats(d: int, n_steps: int, seed: int, j0: int = 64,
     Uses the same seeded increment stream as generate_walk but never
     materializes positions, so long walks and many seeds stay cheap.
     """
-    mu = measure if measure is not None else uniform_standard_measure(free(d))
+    mu = measure if measure is not None else uniform_standard_measure(Free(d))
     words = [g.payload for g in mu.support]
     trie = PrefixTrie(d)
     node = 0
@@ -283,7 +283,7 @@ class SphereGrowthProfile:
 
 def sphere_growth_profile(result: ClosureResult) -> SphereGrowthProfile:
     """Per-radius element counts of a free-group closure and their log2 slope."""
-    if result.descriptor.kind != "Free":
+    if not isinstance(result.descriptor, Free):
         raise ValueError("sphere growth profile needs a free-group closure")
     d = result.descriptor.rank
     counts: dict[int, int] = {}

@@ -3,9 +3,9 @@ groups F_d (d >= 2), the discrete Heisenberg group, the lamplighter group
 over Z, and Z/m.
 
 Each family is one ``GroupDescriptor`` subclass that owns its arithmetic,
-generators, word lengths, ball sizes and text form on raw payloads; the
-module functions delegate to it. Elements are immutable and carry one
-canonical payload, described in the family's class docstring.
+generators, word lengths, ball sizes, abelian image and text form on raw
+payloads; the module functions delegate to it. Elements are immutable and
+carry one canonical payload, described in the family's class docstring.
 
 Every family has a closed-form word length and an exact ball size, so any
 element's length is known and no radius is out of range. ``ball_distances``
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cache
 from typing import Any, Callable, ClassVar, Iterable
 
@@ -32,7 +32,11 @@ class GroupDescriptor:
 
     Subclasses define ``identity_payload``, ``generator_payloads``,
     ``canonicalize``, ``mul``, ``inv``, ``length`` (the word length, in
-    closed form), ``ball_size``, ``format`` and ``parse``. A family whose
+    closed form), ``ball_size``, ``abelian_image``, ``format`` and
+    ``parse``. ``abelian_image(payload)`` is the homomorphism onto Z^k, the
+    free part of the abelianisation, as a tuple of k ints: the identity on
+    Z^d, the letter exponent sums on F_d, (a, b) on the Heisenberg group,
+    (position,) on the lamplighter and () on Z/m. A family whose
     products have length |p| + |q| unless a letter cancels (F_d) also
     defines ``summary``, payload -> (length, first letter, inverse of the
     last letter), and ``mul_within(p, q, radius)``, the product if its
@@ -90,6 +94,9 @@ class ZPower(GroupDescriptor):
         d = self.rank
         return sum(2 ** k * math.comb(d, k) * math.comb(radius, k)
                    for k in range(0, min(d, radius) + 1))
+
+    def abelian_image(self, p: tuple) -> tuple[int, ...]:
+        return p
 
     def format(self, p: tuple) -> str:
         return "(" + ",".join(str(x) for x in p) + ")"
@@ -160,6 +167,10 @@ class Free(GroupDescriptor):
     def ball_size(self, radius: int) -> int:
         d = self.rank
         return 1 + d * ((2 * d - 1) ** radius - 1) // (d - 1)
+
+    def abelian_image(self, p: tuple) -> tuple[int, ...]:
+        """The exponent sum of each letter."""
+        return tuple(p.count(i) - p.count(-i) for i in range(1, self.rank + 1))
 
     def format(self, p: tuple) -> str:
         if not p:
@@ -241,6 +252,9 @@ class Heisenberg(GroupDescriptor):
                                          key=key) - 1)
         return total
 
+    def abelian_image(self, p: tuple) -> tuple[int, int]:
+        return p[:2]
+
     def format(self, p: tuple) -> str:
         return "H({},{},{})".format(*p)
 
@@ -291,6 +305,11 @@ class LamplighterZ(GroupDescriptor):
                    for lit in [(lo < min(0, x)) + (hi > max(0, x))]
                    for k in range(radius - 2 * (hi - lo) + abs(x) - lit + 1))
 
+    def abelian_image(self, p: tuple) -> tuple[int]:
+        """The position; the parity of the lit lamps, the rest of the
+        abelianisation, is torsion."""
+        return (p[0],)
+
     def format(self, p: tuple) -> str:
         x, f = p
         return "L({};{{{}}})".format(x, ",".join(str(s) for s in f))
@@ -339,6 +358,9 @@ class CyclicZ(GroupDescriptor):
     def ball_size(self, radius: int) -> int:
         return min(self.modulus, 2 * radius + 1)
 
+    def abelian_image(self, p: int) -> tuple[()]:
+        return ()
+
     def format(self, p: int) -> str:
         return f"{p} mod {self.modulus}"
 
@@ -351,12 +373,6 @@ class CyclicZ(GroupDescriptor):
             raise ValueError("residue out of range")
         return r
 
-
-zpower = ZPower
-free = Free
-heisenberg = Heisenberg
-lamplighter_z = LamplighterZ
-cyclic = CyclicZ
 
 _DESCRIPTOR_ALIASES: dict[str, type[GroupDescriptor]] = {
     "z": ZPower, "lamplighter": LamplighterZ, "cyclic": CyclicZ,
@@ -385,8 +401,9 @@ def parse_descriptor(text: str) -> GroupDescriptor:
 class GroupElement:
     """A group element in canonical form.
 
-    Payloads are trusted to be canonical; build elements through the factory
-    helpers, ``parse_element`` or the group operations rather than by hand.
+    Payloads are trusted to be canonical; build elements through
+    ``make_element``, ``parse_element`` or the group operations rather than
+    by hand.
     """
 
     descriptor: GroupDescriptor
@@ -423,20 +440,6 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 def invert(a: GroupElement) -> GroupElement:
     """The group inverse."""
     return GroupElement(a.descriptor, a.descriptor.inv(a.payload))
-
-
-def power(a: GroupElement, n: int) -> GroupElement:
-    """a**n by square-and-multiply; negative exponents go through invert."""
-    if n < 0:
-        return power(invert(a), -n)
-    result = identity(a.descriptor)
-    base = a
-    while n:
-        if n & 1:
-            result = multiply(result, base)
-        base = multiply(base, base)
-        n >>= 1
-    return result
 
 
 def standard_generators(descriptor: GroupDescriptor) -> tuple[GroupElement, ...]:
@@ -496,47 +499,6 @@ def word_length_within(a: GroupElement, radius: int) -> int | None:
     """Word length if it is <= radius, else None."""
     n = a.descriptor.length(a.payload)
     return n if n <= radius else None
-
-
-# ---------------------------------------------------------------------------
-# Homomorphisms
-
-@dataclass(frozen=True)
-class Homomorphism:
-    """One of the four projections used by the quotient arguments."""
-
-    kind: str
-    source: GroupDescriptor
-    target: GroupDescriptor
-    map_payload: Callable[[Any], Any] = field(compare=False, repr=False)
-
-
-def abelianize(d: int) -> Homomorphism:
-    """Free(d) -> ZPower(d), letter exponent sums."""
-    return Homomorphism("Abelianize", free(d), zpower(d), lambda w: tuple(
-        w.count(i) - w.count(-i) for i in range(1, d + 1)))
-
-
-def mod_m(m: int) -> Homomorphism:
-    """ZPower(1) -> CyclicZ(m), reduction of the single coordinate."""
-    return Homomorphism("ModM", zpower(1), cyclic(m), lambda p: p[0] % m)
-
-
-def pos_projection() -> Homomorphism:
-    """LamplighterZ -> ZPower(1), forget the lamps."""
-    return Homomorphism("Pos", lamplighter_z(), zpower(1), lambda p: (p[0],))
-
-
-def heisenberg_abelianize() -> Homomorphism:
-    """Heisenberg -> ZPower(2), drop the central coordinate."""
-    return Homomorphism("HeisenbergAbelianize", heisenberg(), zpower(2),
-                        lambda p: p[:2])
-
-
-def apply_homomorphism(h: Homomorphism, g: GroupElement) -> GroupElement:
-    if g.descriptor != h.source:
-        raise DescriptorMismatchError(f"element of {g.descriptor}, expected {h.source}")
-    return GroupElement(h.target, h.map_payload(g.payload))
 
 
 # ---------------------------------------------------------------------------

@@ -6,61 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .groups import (
-    GroupElement,
-    heisenberg,
-    identity,
-    invert,
-    multiply,
-    power,
-)
-
-_H = heisenberg()
-_A = GroupElement(_H, (1, 0, 0))
-_B = GroupElement(_H, (0, 1, 0))
-
-
-@dataclass(frozen=True)
-class NilpotentIdentityResult:
-    exponent_pos: int
-    exponent_neg: int
-    expected_pos: int
-    expected_neg: int
-
-    @property
-    def holds(self) -> bool:
-        return (self.exponent_pos == self.expected_pos
-                and self.exponent_neg == self.expected_neg)
-
-
-def _central_exponent(g: GroupElement) -> int:
-    a, b, c = g.payload
-    if a != 0 or b != 0:
-        raise ValueError(f"product {g.payload} is not central")
-    return c
-
-
-def nilpotent_identity_check(k1: int, k2: int, k3: int, k4: int,
-                             n: int, m: int) -> NilpotentIdentityResult:
-    """Multiply out c^n d^m e^n f^m and d^m c^n f^m e^n in the Heisenberg group.
-
-    Here z = [a, b] is the central generator, c = a z^k1, d = b z^k2,
-    e = a^-1 z^k3, f = b^-1 z^k4. Both products are central; the first must
-    have exponent n*m + L and the second -n*m + L, where
-    L = (k1 + k3) n + (k2 + k4) m.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
-    z = GroupElement(_H, (0, 0, 1))
-    c = multiply(_A, power(z, k1))
-    d = multiply(_B, power(z, k2))
-    e = multiply(invert(_A), power(z, k3))
-    f = multiply(invert(_B), power(z, k4))
-    cn, dm, en, fm = power(c, n), power(d, m), power(e, n), power(f, m)
-    pos = _central_exponent(multiply(multiply(cn, dm), multiply(en, fm)))
-    neg = _central_exponent(multiply(multiply(dm, cn), multiply(fm, en)))
-    ell = (k1 + k3) * n + (k2 + k4) * m
-    return NilpotentIdentityResult(pos, neg, n * m + ell, -n * m + ell)
+from .groups import GroupElement, Heisenberg, identity, multiply
 
 
 #: (k1, k2, k3, k4, n, m, exponent_pos, exponent_neg, holds)
@@ -87,13 +33,19 @@ class NilpotentGridResult:
 def nilpotent_identity_grid(k_values: Iterable[int],
                             n_values: Iterable[int],
                             m_values: Iterable[int]) -> NilpotentGridResult:
-    """Run nilpotent_identity_check over a full (k1..k4, n, m) grid.
+    """Multiply out c^n d^m e^n f^m and d^m c^n f^m e^n in the Heisenberg
+    group over a full (k1..k4, n, m) grid.
+
+    Here z = [a, b] is the central generator, c = a z^k1, d = b z^k2,
+    e = a^-1 z^k3, f = b^-1 z^k4. Both products are central; the first must
+    have exponent n*m + L and the second -n*m + L, where
+    L = (k1 + k3) n + (k2 + k4) m.
 
     Multiplies raw payload triples with the Heisenberg group law, with
     powers shared across the grid so that large grids finish in well under
     a second. One row per case, in (k1, k2, k3, k4, n, m) order.
     """
-    mul = _H.mul
+    mul = Heisenberg().mul
 
     def powers(base, upto):
         acc = (0, 0, 0)

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
@@ -274,13 +273,14 @@ def _clear_denominators(pairs: Sequence[tuple[int, int]]) -> Vec:
     return tuple(p * lcm // q for p, q in pairs)
 
 
-def _solve_unique(basis: Sequence[Vec], target: Vec) -> list[Fraction] | None:
-    """Unique exact solution of sum t_i b_i = target, else None."""
+def _solve_unique(basis: Sequence[Vec], target: Vec) -> Vec | None:
+    """The unique exact solution of sum t_i b_i = target times the least
+    common denominator of its entries, else None."""
     k = len(basis)
     rows = [[b[i] for b in basis] + [x] for i, x in enumerate(target)]
     if len(_echelon(rows, k)) < k or any(row[k] for row in rows[k:]):
         return None
-    return [Fraction(rows[c][k], rows[c][c]) for c in range(k)]
+    return _clear_denominators([(rows[c][k], rows[c][c]) for c in range(k)])
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +400,18 @@ def zero_in_convex_hull(vectors: Sequence[Sequence[int]]) -> ConeWitness:
 
 
 def _conic_solution(vecs: Sequence[Vec],
-                    target: Vec) -> dict[int, Fraction] | None:
+                    target: Vec) -> dict[int, tuple[int, int]] | None:
     """A basic solution t >= 0 of sum t_i vecs[i] = target, else None.
 
-    The support of t is returned as {i: t_i}. Phase one of the simplex
-    method on a d-row integer tableau: one artificial variable per row
-    starts in the basis, and their sum is driven to zero. Rows are updated
-    fraction-free and divided by their gcd, so a row's values are its
-    entries over its basic entry, which stays positive; ratios are compared
-    by cross-multiplication. Bland's rule (the lowest-index entering
-    column, ties on the ratio to the lowest basic index) makes the exact
-    simplex terminate. An artificial that leaves the basis never returns,
-    so its column is not stored.
+    The support of t is returned as {i: (p, q)} with t_i = p / q, q > 0.
+    Phase one of the simplex method on a d-row integer tableau: one
+    artificial variable per row starts in the basis, and their sum is
+    driven to zero. Rows are updated fraction-free and divided by their
+    gcd, so a row's values are its entries over its basic entry, which
+    stays positive; ratios are compared by cross-multiplication. Bland's
+    rule (the lowest-index entering column, ties on the ratio to the lowest
+    basic index) makes the exact simplex terminate. An artificial that
+    leaves the basis never returns, so its column is not stored.
     """
     n = len(vecs)
     rows = []
@@ -444,7 +444,7 @@ def _conic_solution(vecs: Sequence[Vec],
         basis[leave] = enter
     if cost[n]:
         return None
-    return {j: Fraction(row[n], row[j])
+    return {j: (row[n], row[j])
             for j, row in zip(basis, rows) if j < n and row[n]}
 
 
@@ -455,17 +455,16 @@ def _positive_certificate(vecs: list[Vec],
     sum."""
     d = len(vecs[0])
     target = tuple(-sum(vecs[i][c] for i in base_idx) for c in range(d))
-    coeffs: dict[int, Fraction] = {i: Fraction(1) for i in base_idx}
+    coeffs = {i: (1, 1) for i in base_idx}
     if any(target):
         found = _conic_solution(vecs, target)
         if found is None:
             raise ArithmeticError(
                 "origin interior but no conic combination found")
-        for i, t in found.items():
-            coeffs[i] = coeffs.get(i, Fraction(0)) + t
+        for i, (p, q) in found.items():
+            coeffs[i] = (p + q, q) if i in coeffs else (p, q)
     indices = sorted(coeffs)
-    denom = math.lcm(*[coeffs[i].denominator for i in indices])
-    ints = _primitive(tuple(int(coeffs[i] * denom) for i in indices))
+    ints = _primitive(_clear_denominators([coeffs[i] for i in indices]))
     witness = ZeroInHullWitness(tuple(vecs[i] for i in indices), ints)
     _verify_certificate(witness, d)
     return witness
@@ -532,9 +531,7 @@ def _lift_normal(basis: list[Vec], span_normal: Vec) -> Vec:
     c = _solve_unique(gram, span_normal)
     if c is None:
         raise ArithmeticError("Gram matrix of a basis is singular")
-    denom = math.lcm(*[t.denominator for t in c])
-    ints = [int(t * denom) for t in c]
-    return _primitive(tuple(_dot(ints, col) for col in zip(*basis)))
+    return _primitive(tuple(_dot(c, col) for col in zip(*basis)))
 
 
 def classify_subsemigroup(

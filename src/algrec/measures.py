@@ -9,12 +9,12 @@ from functools import cached_property
 from .groups import (
     GroupDescriptor,
     GroupElement,
+    ZPower,
     canonical_key,
     format_element,
     invert,
     make_element,
     standard_generators,
-    zpower,
 )
 
 #: Denominator used when quantizing non-rational weight profiles.
@@ -112,7 +112,7 @@ def heavy_tail_measure_z2(alpha: float, cutoff: int,
     minor_weight = Fraction(minor_weight)
     if not 0 < minor_weight < 1:
         raise ValueError("minor_weight must lie strictly between 0 and 1")
-    desc = zpower(2)
+    desc = ZPower(2)
     if float(alpha).is_integer():
         profile = [Fraction(1, k ** int(alpha)) for k in range(1, cutoff + 1)]
     else:

@@ -27,9 +27,8 @@ from .groups import (
     Free,
     GroupDescriptor,
     GroupElement,
+    ZPower,
     format_element,
-    parse_descriptor,
-    parse_element,
 )
 from .manifest import write_csv
 from .measures import SymmetricMeasure, first_asymmetric_atom
@@ -311,27 +310,11 @@ def write_trace(trace: WalkTrace, path: str | Path, extra: str = "") -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_trace(path: str | Path) -> WalkTrace:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("# trace "):
-        raise ValueError(f"{path}: missing trace header")
-    fields = dict(part.split("=", 1) for part in lines[0][8:].split()
-                  if "=" in part)
-    descriptor = parse_descriptor(fields["group"])
-    seed = int(fields["seed"])
-    steps = int(fields["steps"])
-    body = [line for line in lines[1:] if line and not line.startswith("#")]
-    if len(body) != steps:
-        raise ValueError(f"{path}: header says {steps} steps, found {len(body)}")
-    increments = [parse_element(descriptor, line) for line in body]
-    return trace_from_increments(descriptor, seed, increments)
-
-
 def write_positions_csv(trace: WalkTrace, path: str | Path,
                         meta: dict | None = None) -> None:
     """Plot-ready CSV of positions; ZPower traces also get coordinate columns."""
     positions = trace.positions
-    is_lattice = trace.descriptor.kind == "ZPower"
+    is_lattice = isinstance(trace.descriptor, ZPower)
     header = ["step", "position"]
     if is_lattice:
         header += [f"c{i+1}" for i in range(trace.descriptor.rank)]

@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 from algrec import groups as G
 
 SMALL_DESCRIPTORS = (
-    G.zpower(1),
-    G.zpower(2),
-    G.zpower(3),
-    G.free(2),
-    G.free(5),
-    G.heisenberg(),
-    G.lamplighter_z(),
-    G.cyclic(6),
-    G.cyclic(12),
+    G.ZPower(1),
+    G.ZPower(2),
+    G.ZPower(3),
+    G.Free(2),
+    G.Free(5),
+    G.Heisenberg(),
+    G.LamplighterZ(),
+    G.CyclicZ(6),
+    G.CyclicZ(12),
 )
 
 

@@ -7,7 +7,9 @@ import itertools
 import math
 from bisect import insort
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -21,12 +23,16 @@ from algrec.freestats import (
 )
 from algrec.groups import (
     GroupElement,
+    Heisenberg,
     canonical_key,
-    heisenberg,
+    identity,
+    invert,
     multiply,
+    parse_descriptor,
+    parse_element,
     word_length_within,
 )
-from algrec.walks import TriePositions
+from algrec.walks import TriePositions, WalkTrace, trace_from_increments
 
 # ---------------------------------------------------------------------------
 # Heisenberg via 3x3 upper-unitriangular integer matrices
@@ -43,18 +49,75 @@ def mat_mul(x: tuple, y: tuple) -> tuple:
 
 
 def matrix_to_heisenberg(m: tuple) -> GroupElement:
-    return GroupElement(heisenberg(), (m[0][1], m[1][2], m[0][2]))
+    return GroupElement(Heisenberg(), (m[0][1], m[1][2], m[0][2]))
 
 
 def heisenberg_ball_size_box(radius: int) -> int:
     """|B_H(radius)| by the closed-form length on every point of the box
     |a| + |b| <= radius, |c| <= radius**2 / 4: c sums the current a over
     the y-letters, so h x-letters and v y-letters end at |c| <= h * v."""
-    length, top = heisenberg().length, radius * radius // 4
+    length, top = Heisenberg().length, radius * radius // 4
     return sum(1 for a in range(-radius, radius + 1)
                for b in range(abs(a) - radius, radius - abs(a) + 1)
                for c in range(-top, top + 1)
                if length((a, b, c)) <= radius)
+
+
+# ---------------------------------------------------------------------------
+# The nilpotent identity element by element, with square-and-multiply powers
+
+def power(a: GroupElement, n: int) -> GroupElement:
+    """a**n by square-and-multiply; negative exponents go through invert."""
+    if n < 0:
+        return power(invert(a), -n)
+    result = identity(a.descriptor)
+    base = a
+    while n:
+        if n & 1:
+            result = multiply(result, base)
+        base = multiply(base, base)
+        n >>= 1
+    return result
+
+
+@dataclass(frozen=True)
+class NilpotentIdentityResult:
+    exponent_pos: int
+    exponent_neg: int
+    expected_pos: int
+    expected_neg: int
+
+    @property
+    def holds(self) -> bool:
+        return (self.exponent_pos == self.expected_pos
+                and self.exponent_neg == self.expected_neg)
+
+
+def _central_exponent(g: GroupElement) -> int:
+    a, b, c = g.payload
+    if a != 0 or b != 0:
+        raise ValueError(f"product {g.payload} is not central")
+    return c
+
+
+def nilpotent_identity_check(k1: int, k2: int, k3: int, k4: int,
+                             n: int, m: int) -> NilpotentIdentityResult:
+    """One case of identities.nilpotent_identity_grid, multiplied out on
+    elements with powers of z = [a, b] and of c = a z^k1, d = b z^k2,
+    e = a^-1 z^k3, f = b^-1 z^k4."""
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be positive")
+    a, b, z = (GroupElement(Heisenberg(), p)
+               for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    c = multiply(a, power(z, k1))
+    d = multiply(b, power(z, k2))
+    e = multiply(invert(a), power(z, k3))
+    f = multiply(invert(b), power(z, k4))
+    cn, dm, en, fm = power(c, n), power(d, m), power(e, n), power(f, m)
+    pos = _central_exponent(multiply(multiply(cn, dm), multiply(en, fm)))
+    neg = _central_exponent(multiply(multiply(dm, cn), multiply(fm, en)))
+    ell = (k1 + k3) * n + (k2 + k4) * m
+    return NilpotentIdentityResult(pos, neg, n * m + ell, -n * m + ell)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +398,24 @@ def full_array_excursion_estimate(d: int, excursions: int, seed: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Prefix counts
+# Trace files and prefix counts
+
+def read_trace(path) -> WalkTrace:
+    """Parse walks.write_trace output back into the trace."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or not lines[0].startswith("# trace "):
+        raise ValueError(f"{path}: missing trace header")
+    fields = dict(part.split("=", 1) for part in lines[0][8:].split()
+                  if "=" in part)
+    descriptor = parse_descriptor(fields["group"])
+    seed = int(fields["seed"])
+    steps = int(fields["steps"])
+    body = [line for line in lines[1:] if line and not line.startswith("#")]
+    if len(body) != steps:
+        raise ValueError(f"{path}: header says {steps} steps, found {len(body)}")
+    increments = [parse_element(descriptor, line) for line in body]
+    return trace_from_increments(descriptor, seed, increments)
+
 
 def prefix_counts(trace, j0: int = 64) -> PrefixStats:
     """Exact distinct-prefix counts per depth for a free-group trace, read

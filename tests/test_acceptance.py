@@ -53,7 +53,7 @@ def test_criterion_1_exact_identity_suite():
             ok &= z_inverse_witness(x, y).combination_value == -x
 
     for m in range(1, 25):
-        desc = G.cyclic(m)
+        desc = G.CyclicZ(m)
         for x_val in range(m):
             x = G.GroupElement(desc, x_val)
             y = G.invert(x)  # the projection of Y must equal X^-1; in Z/m, Y itself
@@ -141,7 +141,7 @@ def test_criterion_4_smith_validity_random():
 def test_criterion_5_closure_oracle_equivalence():
     start = time.perf_counter()
     ok = True
-    z = G.zpower(1)
+    z = G.ZPower(1)
     z_cases = [
         ([2, 3], 10), ([1, -1], 12), ([1, -1], 3), ([2, -2], 12),
         ([5, -3], 12), ([7, -5], 12), ([11, -9], 12), ([12, -11], 12),
@@ -155,7 +155,7 @@ def test_criterion_5_closure_oracle_equivalence():
         oracle = brute_force_abelian_closure(elements, radius)
         ok &= ours.exhausted and ours.elements == oracle
     for m in range(2, 25):
-        desc = G.cyclic(m)
+        desc = G.CyclicZ(m)
         gen_sets = [[1], [m - 1], [2, 3], [5], [2, m - 3], [3, 7, 11]]
         for gens in gen_sets:
             elements = [G.GroupElement(desc, v % m) for v in gens]
@@ -171,23 +171,23 @@ def test_criterion_6_ar_direction_statistics():
     start = time.perf_counter()
     seeds = ACCEPTANCE_SEEDS
 
-    mu12 = uniform_standard_measure(G.cyclic(12))
+    mu12 = uniform_standard_measure(G.CyclicZ(12))
     rows = coverage_survey(mu12, 500, (500,), 1, ClosureBudget(radius=6), 6, seeds)
     full_count = sum(1 for r in rows if r.coverage == 1)
     ok_a = full_count >= 99
 
-    mu_z = uniform_standard_measure(G.zpower(1))
+    mu_z = uniform_standard_measure(G.ZPower(1))
     rows = coverage_survey(mu_z, 200, (20, 200), 1, ClosureBudget(radius=5), 5, seeds)
     mean_20 = mean_fraction(r.coverage for r in rows if r.n_used == 20)
     mean_200 = mean_fraction(r.coverage for r in rows if r.n_used == 200)
     ok_b = mean_200 > mean_20
 
-    mu_f5 = uniform_standard_measure(G.free(5))
+    mu_f5 = uniform_standard_measure(G.Free(5))
     rows = coverage_survey(mu_f5, 200, (200,), 1, ClosureBudget(radius=4), 4, seeds)
     below_count = sum(1 for r in rows if r.coverage < 1)
     ok_c = below_count >= 90
 
-    mu_h = uniform_standard_measure(G.heisenberg())
+    mu_h = uniform_standard_measure(G.Heisenberg())
     rows = coverage_survey(mu_h, 500, (50, 500), 1, ClosureBudget(radius=4), 4, seeds)
     present_50 = mean_fraction(r.present_fraction_decided for r in rows
                                if r.n_used == 50)

@@ -24,7 +24,7 @@ from oracles import worklist_closure
 
 
 def z_el(v):
-    return G.make_element(G.zpower(1), (v,))
+    return G.make_element(G.ZPower(1), (v,))
 
 
 def test_closure_z_2_3():
@@ -40,7 +40,7 @@ def test_closure_z_includes_derived_identity():
 
 
 def test_closure_free_monoid_single_letter():
-    f2 = G.free(2)
+    f2 = G.Free(2)
     result = closure([G.make_element(f2, [1])], ClosureBudget(radius=4))
     assert {g.payload for g in result.elements} == {
         (1,), (1, 1), (1, 1, 1), (1, 1, 1, 1)}
@@ -74,7 +74,7 @@ def test_coverage_examples():
     assert coverage_fraction(full, 3) == 1
     partial = closure([z_el(2), z_el(3)], ClosureBudget(radius=10))
     assert coverage_fraction(partial, 2) == Fraction(1, 5)
-    f2 = G.free(2)
+    f2 = G.Free(2)
     mono = closure([G.make_element(f2, [1])], ClosureBudget(radius=4))
     assert coverage_fraction(mono, 1) == Fraction(1, 5)
 
@@ -99,7 +99,7 @@ def test_closure_oracle_equivalence_quick():
 
 def test_closure_oracle_equivalence_cyclic():
     for m in (5, 6, 12, 24):
-        desc = G.cyclic(m)
+        desc = G.CyclicZ(m)
         for gens in ([1], [5 % m], [2, 3], [m - 1]):
             elements = [G.GroupElement(desc, g % m) for g in gens]
             radius = 12
@@ -125,12 +125,12 @@ def test_monotonicity_random(gens, extra):
 
 
 @pytest.mark.parametrize("descriptor,gen_payloads,radius", [
-    (G.zpower(1), [(3,), (-2,)], 8),
-    (G.zpower(2), [(1, 1), (0, -1)], 5),
-    (G.cyclic(12), [1, 7], 6),
-    (G.free(2), [(1,), (2,), (-1,), (1, 2)], 4),
-    (G.heisenberg(), [(1, 0, 0), (0, -1, 0), (-1, 0, 0)], 4),
-    (G.lamplighter_z(), [(1, ()), (-1, (0,)), (0, (0,))], 4),
+    (G.ZPower(1), [(3,), (-2,)], 8),
+    (G.ZPower(2), [(1, 1), (0, -1)], 5),
+    (G.CyclicZ(12), [1, 7], 6),
+    (G.Free(2), [(1,), (2,), (-1,), (1, 2)], 4),
+    (G.Heisenberg(), [(1, 0, 0), (0, -1, 0), (-1, 0, 0)], 4),
+    (G.LamplighterZ(), [(1, ()), (-1, (0,)), (0, (0,))], 4),
 ], ids=lambda v: str(v)[:24])
 def test_semigroup_property_at_exhaustion(descriptor, gen_payloads, radius):
     gens = [G.make_element(descriptor, p) for p in gen_payloads]
@@ -166,10 +166,10 @@ def test_closure_determinism():
 #: elements, which memoise no products, are those of F_5 at r >= 3, F_3 at
 #: r = 4, Heisenberg at r = 6 and Z^2 at r >= 16.
 TABLE_CASES = [
-    (G.zpower(1), 12), (G.zpower(2), 6), (G.zpower(3), 4),
-    (G.cyclic(5), 3), (G.cyclic(12), 6),
-    (G.free(2), 4), (G.heisenberg(), 5), (G.lamplighter_z(), 6),
-    (G.free(5), 4), (G.free(3), 4), (G.heisenberg(), 6), (G.zpower(2), 20),
+    (G.ZPower(1), 12), (G.ZPower(2), 6), (G.ZPower(3), 4),
+    (G.CyclicZ(5), 3), (G.CyclicZ(12), 6),
+    (G.Free(2), 4), (G.Heisenberg(), 5), (G.LamplighterZ(), 6),
+    (G.Free(5), 4), (G.Free(3), 4), (G.Heisenberg(), 6), (G.ZPower(2), 20),
 ]
 
 
@@ -203,7 +203,7 @@ def test_table_engine_replays_worklist(descriptor, max_radius, cap):
 
 
 def heavy_free_tail(seed):
-    return generate_walk(uniform_standard_measure(G.free(5)), 200,
+    return generate_walk(uniform_standard_measure(G.Free(5)), 200,
                          seed=seed).positions
 
 
@@ -243,7 +243,7 @@ def test_heavy_free_closures_within_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("descriptor,radius", [
-    (G.free(2), 3), (G.free(3), 3), (G.free(5), 2)], ids=str)
+    (G.Free(2), 3), (G.Free(3), 3), (G.Free(5), 2)], ids=str)
 def test_pairs_out_of_reach_leave_the_ball(descriptor, radius):
     """Over every ordered pair (x, y) of the ball, a partner y that the
     skip rule drops for x has x*y and y*x both outside the ball, and the
@@ -276,8 +276,8 @@ def full_inversion_report(trace, n, budget):
         for i, x in enumerate(tail, start=n)))
 
 
-WITNESS_CASES = [(G.zpower(2), 4), (G.free(2), 3), (G.free(5), 3),
-                 (G.heisenberg(), 3), (G.lamplighter_z(), 3), (G.cyclic(12), 4)]
+WITNESS_CASES = [(G.ZPower(2), 4), (G.Free(2), 3), (G.Free(5), 3),
+                 (G.Heisenberg(), 3), (G.LamplighterZ(), 3), (G.CyclicZ(12), 4)]
 
 
 @pytest.mark.parametrize("cap", [None, "max_elements", "max_products"])
@@ -338,19 +338,19 @@ def test_survey_walks_and_reports_build_no_products(monkeypatch):
                 getattr(module, "multiply", None) is multiply:
             monkeypatch.setattr(module, "multiply", counted)
     for descriptor, steps, radius in [
-            (G.heisenberg(), 500, 4), (G.lamplighter_z(), 500, 4),
-            (G.zpower(1), 200, 5), (G.cyclic(12), 500, 6)]:
+            (G.Heisenberg(), 500, 4), (G.LamplighterZ(), 500, 4),
+            (G.ZPower(1), 200, 5), (G.CyclicZ(12), 500, 6)]:
         trace = generate_walk(uniform_standard_measure(descriptor), steps,
                               seed=3)
         report = inverse_witness_report(trace, 1, ClosureBudget(radius))
         assert len(report.rows) == steps
     assert calls == []
-    G.multiply(G.identity(G.cyclic(12)), G.identity(G.cyclic(12)))
+    G.multiply(G.identity(G.CyclicZ(12)), G.identity(G.CyclicZ(12)))
     assert calls == [1]  # the counter is in place
 
 
 def test_witness_report_torsion_all_present():
-    c6 = G.cyclic(6)
+    c6 = G.CyclicZ(6)
     incs = [G.GroupElement(c6, 1), G.GroupElement(c6, 4)]  # positions 1, 5
     trace = trace_from_increments(c6, 0, incs)
     report = inverse_witness_report(trace, 1, ClosureBudget(radius=3))
@@ -360,7 +360,7 @@ def test_witness_report_torsion_all_present():
 
 
 def test_witness_report_z_both_signs_present():
-    z = G.zpower(1)
+    z = G.ZPower(1)
     incs = [z_el(1), z_el(1), z_el(-1), z_el(-1), z_el(-1)]
     trace = trace_from_increments(z, 0, incs)
     assert [x.payload[0] for x in trace.positions] == [1, 2, 1, 0, -1]
@@ -370,7 +370,7 @@ def test_witness_report_z_both_signs_present():
 
 
 def test_witness_report_free_group_completes():
-    mu = uniform_standard_measure(G.free(5))
+    mu = uniform_standard_measure(G.Free(5))
     trace = generate_walk(mu, 50, seed=3)
     report = inverse_witness_report(trace, 1, ClosureBudget(radius=6))
     assert len(report.rows) == 50
@@ -380,7 +380,7 @@ def test_witness_report_free_group_completes():
 
 
 def test_witness_report_tail_index():
-    z = G.zpower(1)
+    z = G.ZPower(1)
     incs = [z_el(1)] * 4
     trace = trace_from_increments(z, 0, incs)
     report = inverse_witness_report(trace, 3, ClosureBudget(radius=6))
@@ -405,13 +405,13 @@ def test_closure_rejects_empty_and_mixed():
     with pytest.raises(ValueError):
         closure([], ClosureBudget(radius=3))
     with pytest.raises(ValueError):
-        closure([z_el(1), G.identity(G.zpower(2))], ClosureBudget(radius=3))
+        closure([z_el(1), G.identity(G.ZPower(2))], ClosureBudget(radius=3))
 
 
 def test_heisenberg_closure_runs_past_radius_12():
     """No radius is out of range: a Heisenberg closure at r = 14 keeps
     elements longer than 12 and replays the worklist oracle."""
-    h = G.heisenberg()
+    h = G.Heisenberg()
     gens = [G.GroupElement(h, p) for p in ((1, 0, 0), (0, 1, 3), (-2, 1, 0))]
     budget = ClosureBudget(radius=14, max_elements=400)
     result = closure(gens, budget)

@@ -24,7 +24,7 @@ from oracles import prefix_counts
 
 
 def test_config_roundtrip_canonical():
-    config = ScenarioConfig(group=G.free(5), steps=500, seeds=(1, 2, 3),
+    config = ScenarioConfig(group=G.Free(5), steps=500, seeds=(1, 2, 3),
                             eval_steps=(50, 500), budget_radius=4,
                             heavy_minor_weight=Fraction(1, 7))
     text = canonical_text(config)
@@ -34,7 +34,7 @@ def test_config_roundtrip_canonical():
 
 #: A config that sets every field away from its default.
 ALL_FIELDS_CONFIG = ScenarioConfig(
-    group=G.free(3), measure_kind="explicit", heavy_alpha=Fraction(5, 2),
+    group=G.Free(3), measure_kind="explicit", heavy_alpha=Fraction(5, 2),
     heavy_cutoff=6, heavy_minor_weight=Fraction(1, 7),
     explicit_atoms=(("x1", Fraction(1, 4)), ("X1", Fraction(1, 4)),
                     ("x2 x3", Fraction(1, 4)), ("X3 X2", Fraction(1, 4))),

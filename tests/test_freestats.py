@@ -36,21 +36,21 @@ from oracles import (
 
 
 def f_el(d, letters):
-    return G.make_element(G.free(d), letters)
+    return G.make_element(G.Free(d), letters)
 
 
 # ---------------------------------------------------------------------------
 # Prefix statistics
 
 def test_prefix_counts_nested():
-    f2 = G.free(2)
+    f2 = G.Free(2)
     trace = trace_from_increments(f2, 0, [f_el(2, [1]), f_el(2, [2])])
     stats = prefix_counts(trace)
     assert stats.counts == {1: 1, 2: 1}
 
 
 def test_prefix_counts_two_branches():
-    f2 = G.free(2)
+    f2 = G.Free(2)
     trace = trace_from_increments(f2, 0, [f_el(2, [1]), f_el(2, [-1, 2])])
     stats = prefix_counts(trace)
     assert stats.counts == {1: 2}
@@ -58,14 +58,14 @@ def test_prefix_counts_two_branches():
 
 def test_prefix_counts_multiletter_increment():
     # A single jump by a two-letter word still contributes both prefixes.
-    f2 = G.free(2)
+    f2 = G.Free(2)
     trace = trace_from_increments(f2, 0, [f_el(2, [2, 1])])
     stats = prefix_counts(trace)
     assert stats.counts == {1: 1, 2: 1}
 
 
 def test_prefix_counts_requires_free_group():
-    z = G.zpower(1)
+    z = G.ZPower(1)
     trace = trace_from_increments(z, 0, [G.make_element(z, (1,))])
     with pytest.raises(ValueError):
         prefix_counts(trace)
@@ -73,7 +73,7 @@ def test_prefix_counts_requires_free_group():
 
 @pytest.mark.parametrize("d,seed", [(2, 1), (2, 2), (5, 1), (5, 9)])
 def test_prefix_counts_match_quadratic_recount(d, seed):
-    mu = uniform_standard_measure(G.free(d))
+    mu = uniform_standard_measure(G.Free(d))
     trace = generate_walk(mu, 1000, seed=seed)
     stats = prefix_counts(trace)
     assert stats.counts == quadratic_prefix_counts(trace)
@@ -81,13 +81,13 @@ def test_prefix_counts_match_quadratic_recount(d, seed):
 
 def test_streaming_equals_trace_based():
     for seed in (1, 5, 11):
-        mu = uniform_standard_measure(G.free(5))
+        mu = uniform_standard_measure(G.Free(5))
         trace = generate_walk(mu, 800, seed=seed)
         assert walk_prefix_stats(5, 800, seed).counts == prefix_counts(trace).counts
 
 
 def two_letter_measure():
-    f2 = G.free(2)
+    f2 = G.Free(2)
     return make_measure(f2, [(f_el(2, w), Fraction(1, 4))
                              for w in ([1, 2], [-2, -1], [2], [-2])])
 
@@ -364,7 +364,7 @@ def test_cancellation_chunk_memory_is_bounded():
 # Sphere growth
 
 def test_sphere_growth_single_generator():
-    f2 = G.free(2)
+    f2 = G.Free(2)
     result = closure([f_el(2, [1])], ClosureBudget(radius=4))
     profile = sphere_growth_profile(result)
     assert profile.counts == {1: 1, 2: 1, 3: 1, 4: 1}
@@ -373,7 +373,7 @@ def test_sphere_growth_single_generator():
 
 
 def test_sphere_growth_two_letter_monoid():
-    f2 = G.free(2)
+    f2 = G.Free(2)
     result = closure([f_el(2, [1]), f_el(2, [2])], ClosureBudget(radius=6))
     profile = sphere_growth_profile(result)
     assert profile.counts == {r: 2 ** r for r in range(1, 7)}
@@ -382,7 +382,7 @@ def test_sphere_growth_two_letter_monoid():
 
 
 def test_sphere_growth_walk_closure_reports_slope():
-    mu = uniform_standard_measure(G.free(5))
+    mu = uniform_standard_measure(G.Free(5))
     trace = generate_walk(mu, 200, seed=12)
     result = closure(trace.positions, ClosureBudget(radius=6))
     profile = sphere_growth_profile(result)

@@ -3,11 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from algrec import groups as G
 from algrec.identities import (
-    nilpotent_identity_check,
     nilpotent_identity_grid,
     torsion_inverse_witness,
     z_inverse_witness,
 )
+from oracles import nilpotent_identity_check
 
 
 def test_nilpotent_identity_uncorrected_exponents():
@@ -45,7 +45,7 @@ def test_nilpotent_identity_holds_everywhere(k1, k2, k3, k4, n, m):
 
 
 def test_torsion_witness_cyclic6():
-    c6 = G.cyclic(6)
+    c6 = G.CyclicZ(6)
     found = torsion_inverse_witness(G.GroupElement(c6, 2),
                                     G.GroupElement(c6, 1), 10)
     assert found.k == 2
@@ -54,7 +54,7 @@ def test_torsion_witness_cyclic6():
 
 
 def test_torsion_witness_immediate_identity():
-    c5 = G.cyclic(5)
+    c5 = G.CyclicZ(5)
     found = torsion_inverse_witness(G.GroupElement(c5, 3),
                                     G.GroupElement(c5, 2), 10)
     assert found.k == 1
@@ -62,7 +62,7 @@ def test_torsion_witness_immediate_identity():
 
 
 def test_torsion_witness_lamplighter():
-    ll = G.lamplighter_z()
+    ll = G.LamplighterZ()
     x = G.make_element(ll, (0, [0]))
     y = G.make_element(ll, (0, [1]))
     found = torsion_inverse_witness(x, y, 10)
@@ -72,7 +72,7 @@ def test_torsion_witness_lamplighter():
 
 
 def test_torsion_witness_absent_in_z():
-    z = G.zpower(1)
+    z = G.ZPower(1)
     x = G.make_element(z, (1,))
     y = G.make_element(z, (2,))
     assert torsion_inverse_witness(x, y, 50) is None
@@ -82,7 +82,7 @@ def test_torsion_witness_absent_in_z():
 @given(st.integers(1, 23), st.integers(0, 22), st.integers(0, 22))
 def test_torsion_witness_recovers_inverse_in_cyclic(m_raw, x_raw, y_off):
     m = m_raw + 1
-    c = G.cyclic(m)
+    c = G.CyclicZ(m)
     x = G.GroupElement(c, x_raw % m)
     y = G.GroupElement(c, (-x_raw + y_off) % m)
     found = torsion_inverse_witness(x, y, max_k=2 * m)

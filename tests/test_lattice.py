@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -197,7 +198,9 @@ def test_conic_solution_agrees_with_subset_oracle(vectors):
     assume(normals and not any(all(_dot(n, v) >= 0 for v in vecs)
                                for n in normals))
     target = _certificate_target(vecs, d)
-    for sol in (_conic_solution(vecs, target),
+    found = _conic_solution(vecs, target)
+    assert found is not None and all(q > 0 for _, q in found.values())
+    for sol in ({i: Fraction(p, q) for i, (p, q) in found.items()},
                 subset_conic_solution(vecs, target)):
         assert sol is not None and all(t >= 0 for t in sol.values())
         assert tuple(sum(t * vecs[i][c] for i, t in sol.items())

@@ -20,19 +20,19 @@ def support_coverage(measure, radius):
 
 
 def test_uniform_free5():
-    mu = uniform_standard_measure(G.free(5))
+    mu = uniform_standard_measure(G.Free(5))
     assert len(mu.atoms) == 10
     assert all(w == Fraction(1, 10) for _, w in mu.atoms)
 
 
 def test_uniform_z1():
-    mu = uniform_standard_measure(G.zpower(1))
+    mu = uniform_standard_measure(G.ZPower(1))
     weights = {g.payload[0]: w for g, w in mu.atoms}
     assert weights == {1: Fraction(1, 2), -1: Fraction(1, 2)}
 
 
 def test_uniform_heisenberg():
-    mu = uniform_standard_measure(G.heisenberg())
+    mu = uniform_standard_measure(G.Heisenberg())
     assert len(mu.atoms) == 4
     assert all(w == Fraction(1, 4) for _, w in mu.atoms)
 
@@ -66,20 +66,20 @@ def test_heavy_tail_rejects_bad_alpha():
 
 
 def test_validate_uniform_free2():
-    mu = uniform_standard_measure(G.free(2))
+    mu = uniform_standard_measure(G.Free(2))
     assert first_asymmetric_atom(mu) is None
     assert support_coverage(mu, 2) == 1
 
 
 def test_validate_flags_asymmetric_atom():
-    z = G.zpower(1)
+    z = G.ZPower(1)
     mu = make_measure(z, [(G.make_element(z, (1,)), Fraction(2, 3)),
                           (G.make_element(z, (-1,)), Fraction(1, 3))])
     assert first_asymmetric_atom(mu).payload in ((1,), (-1,))
 
 
 def test_validate_even_support_misses_ball():
-    z = G.zpower(1)
+    z = G.ZPower(1)
     mu = make_measure(z, [(G.make_element(z, (2,)), Fraction(1, 2)),
                           (G.make_element(z, (-2,)), Fraction(1, 2))])
     assert first_asymmetric_atom(mu) is None
@@ -90,7 +90,7 @@ def test_validate_even_support_misses_ball():
 
 
 def test_make_measure_rejects_bad_weights():
-    z = G.zpower(1)
+    z = G.ZPower(1)
     one = G.make_element(z, (1,))
     with pytest.raises(ValueError):
         make_measure(z, [(one, Fraction(1, 2))])
@@ -100,7 +100,7 @@ def test_make_measure_rejects_bad_weights():
 
 
 def test_make_measure_merges_duplicates():
-    z = G.zpower(1)
+    z = G.ZPower(1)
     one = G.make_element(z, (1,))
     neg = G.make_element(z, (-1,))
     mu = make_measure(z, [(one, Fraction(1, 4)), (one, Fraction(1, 4)),
@@ -117,6 +117,6 @@ def test_uniform_measures_validate(descriptor):
 
 
 def test_atoms_sorted_canonically():
-    mu = uniform_standard_measure(G.free(2))
+    mu = uniform_standard_measure(G.Free(2))
     keys = [G.canonical_key(g) for g, _ in mu.atoms]
     assert keys == sorted(keys)

@@ -2,22 +2,14 @@ import ast
 from pathlib import Path
 
 import algrec
+from algrec.groups import GroupDescriptor
 
 SOURCES = sorted(Path(algrec.__file__).parent.glob("*.py"))
 PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
-_TAIL_VERDICTS = "homomorphism for the exact tail verdicts, ROADMAP open item 1"
-
 #: Public top-level names that neither the package nor perfbench refers to,
 #: each with the reason it stays.
 UNREFERENCED_OK = {
-    "nilpotent_identity_check": "test oracle for nilpotent_identity_grid",
-    "read_trace": "test oracle: parses write_trace output back",
-    "abelianize": _TAIL_VERDICTS,
-    "mod_m": _TAIL_VERDICTS,
-    "pos_projection": _TAIL_VERDICTS,
-    "heisenberg_abelianize": _TAIL_VERDICTS,
-    "apply_homomorphism": _TAIL_VERDICTS,
     "ACCEPTANCE_SEEDS": "the seeds the acceptance criteria run",
 }
 
@@ -80,3 +72,14 @@ def test_only_walks_and_freestats_know_the_trie_positions():
     found = [path.name for path in SOURCES
              if "TriePositions" in path.read_text()]
     assert found == ["walks.py"]
+
+
+def test_only_groups_names_a_family_by_its_kind():
+    # Family membership is tested by class (isinstance), so no module other
+    # than groups.py spells a family's kind string.
+    kinds = {family.kind for family in GroupDescriptor.__subclasses__()}
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             if path.name != "groups.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and node.value in kinds]
+    assert len(kinds) == 5 and found == []

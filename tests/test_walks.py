@@ -11,13 +11,13 @@ from algrec.manifest import write_csv
 from algrec.measures import make_measure, uniform_standard_measure
 from algrec.walks import (
     generate_walk,
-    read_trace,
     sample_atom_indices,
     trace_from_increments,
     write_positions_csv,
     write_trace,
 )
 from conftest import child_output
+from oracles import read_trace
 
 #: Free-group step sets: single letters, and two-letter atoms whose
 #: products cancel across increment boundaries.
@@ -31,7 +31,7 @@ FREE_ATOMS = {
 
 def free_measure(name):
     d, words = FREE_ATOMS[name]
-    desc = G.free(d)
+    desc = G.Free(d)
     return make_measure(desc, [(G.make_element(desc, w), Fraction(1, len(words)))
                                for w in words])
 
@@ -45,14 +45,14 @@ def running_products(increments):
 
 
 def test_empty_walk():
-    mu = uniform_standard_measure(G.zpower(1))
+    mu = uniform_standard_measure(G.ZPower(1))
     trace = generate_walk(mu, 0, seed=5)
     assert len(trace) == 0
     assert trace.positions == ()
 
 
 def test_reproducible_bit_for_bit():
-    mu = uniform_standard_measure(G.free(3))
+    mu = uniform_standard_measure(G.Free(3))
     a = generate_walk(mu, 500, seed=123)
     b = generate_walk(mu, 500, seed=123)
     assert a == b
@@ -62,13 +62,13 @@ def test_reproducible_bit_for_bit():
 
 def test_golden_increments_pinned_seed():
     # Freezes the Philox-derived stream so cross-platform drift is caught.
-    mu = uniform_standard_measure(G.zpower(1))
+    mu = uniform_standard_measure(G.ZPower(1))
     steps = [z.payload[0] for z in generate_walk(mu, 12, seed=1).increments]
     assert steps == [-1, -1, -1, 1, -1, -1, -1, -1, 1, 1, 1, -1]
 
 
 def test_prefix_consistency():
-    mu = uniform_standard_measure(G.heisenberg())
+    mu = uniform_standard_measure(G.Heisenberg())
     trace = generate_walk(mu, 200, seed=9)
     acc = None
     for z, x in zip(trace.increments, trace.positions):
@@ -77,7 +77,7 @@ def test_prefix_consistency():
 
 
 def test_unit_steps_on_z():
-    mu = uniform_standard_measure(G.zpower(1))
+    mu = uniform_standard_measure(G.ZPower(1))
     trace = generate_walk(mu, 300, seed=2)
     prev = 0
     for x in trace.positions:
@@ -86,7 +86,7 @@ def test_unit_steps_on_z():
 
 
 def test_clt_mean_bound():
-    mu = uniform_standard_measure(G.zpower(1))
+    mu = uniform_standard_measure(G.ZPower(1))
     n = 100_000
     idx = sample_atom_indices(mu, n, seed=11)
     steps = np.where(np.array([g.payload[0] for g in mu.support])[idx] > 0, 1, -1)
@@ -95,7 +95,7 @@ def test_clt_mean_bound():
 
 
 def test_empirical_symmetry():
-    mu = uniform_standard_measure(G.free(2))
+    mu = uniform_standard_measure(G.Free(2))
     n = 100_000
     idx = sample_atom_indices(mu, n, seed=4)
     counts = np.bincount(idx, minlength=len(mu.atoms)) / n
@@ -105,7 +105,7 @@ def test_empirical_symmetry():
 
 
 def test_asymmetric_measure_rejected():
-    z = G.zpower(1)
+    z = G.ZPower(1)
     mu = make_measure(z, [(G.make_element(z, (1,)), Fraction(2, 3)),
                           (G.make_element(z, (-1,)), Fraction(1, 3))])
     with pytest.raises(ValueError):
@@ -113,14 +113,14 @@ def test_asymmetric_measure_rejected():
 
 
 def test_sampling_thresholds_cover_uint64():
-    mu = uniform_standard_measure(G.free(5))
+    mu = uniform_standard_measure(G.Free(5))
     thresholds = mu.sampling_thresholds
     assert thresholds[-1] == 1 << 64
     assert all(b > a for a, b in zip(thresholds, thresholds[1:]))
 
 
 def test_trace_file_roundtrip(tmp_path):
-    mu = uniform_standard_measure(G.lamplighter_z())
+    mu = uniform_standard_measure(G.LamplighterZ())
     trace = generate_walk(mu, 40, seed=77)
     path = tmp_path / "trace.txt"
     write_trace(trace, path)
@@ -131,7 +131,7 @@ def test_trace_file_roundtrip(tmp_path):
 
 
 def test_positions_csv(tmp_path):
-    mu = uniform_standard_measure(G.zpower(2))
+    mu = uniform_standard_measure(G.ZPower(2))
     trace = generate_walk(mu, 5, seed=3)
     path = tmp_path / "pos.csv"
     write_positions_csv(trace, path, meta={"config": "abc"})
@@ -142,9 +142,9 @@ def test_positions_csv(tmp_path):
 
 
 def test_trace_from_increments_checks_descriptor():
-    z = G.zpower(1)
+    z = G.ZPower(1)
     with pytest.raises(ValueError):
-        trace_from_increments(z, 0, [G.identity(G.zpower(2))])
+        trace_from_increments(z, 0, [G.identity(G.ZPower(2))])
 
 
 def check_positions(descriptor, atoms, data):
@@ -187,13 +187,13 @@ def check_positions(descriptor, atoms, data):
 @given(st.sampled_from(sorted(FREE_ATOMS)), st.data())
 def test_trie_positions_match_running_products(name, data):
     d, words = FREE_ATOMS[name]
-    desc = G.free(d)
+    desc = G.Free(d)
     check_positions(desc, [G.make_element(desc, w) for w in words], data)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([G.zpower(2), G.free(3), G.heisenberg(),
-                        G.lamplighter_z(), G.cyclic(12)]), st.data())
+@given(st.sampled_from([G.ZPower(2), G.Free(3), G.Heisenberg(),
+                        G.LamplighterZ(), G.CyclicZ(12)]), st.data())
 def test_positions_match_running_products(descriptor, data):
     check_positions(descriptor, G.standard_generators(descriptor), data)
 
@@ -213,7 +213,7 @@ def test_free_positions_csv_matches_formatted_products(tmp_path, name, seed):
 def test_free_positions_csv_within_budget(tmp_path):
     """The positions CSV of a 4k-step F_5 walk, about 19 MB, is written in
     under 0.3 s."""
-    trace = generate_walk(uniform_standard_measure(G.free(5)), 4000, seed=11)
+    trace = generate_walk(uniform_standard_measure(G.Free(5)), 4000, seed=11)
     start = time.perf_counter()
     write_positions_csv(trace, tmp_path / "pos.csv", meta={"config": "x"})
     assert time.perf_counter() - start < 0.3
