@@ -10,7 +10,7 @@ The saturation runs on integer ids. A store per descriptor and radius,
 shared across calls, interns each in-ball payload once, in first-seen
 order, with its canonical key (its text form) and its element. Products are
 computed on payloads through the descriptor, so no element is built per
-product. A family with a ``summary`` (F_d) multiplies length-first with
+product. A family with a reach index (F_d) multiplies length-first with
 ``mul_within``, which builds only the words that fit the radius; the others
 look each product up before testing its closed-form ``length``.
 
@@ -31,17 +31,23 @@ only grows, these partners are those with t <= j(y) < j(x) for one bisected
 t.
 
 On F_d a pair is also counted but not computed when neither product can
-land in the ball. For reduced words |x*y| = |x| + |y| unless the last
-letter of x is the inverse of the first letter of y, so if |x| + |y| > r
-and neither order cancels a letter, x*y and y*x both lie outside the ball.
-The store keeps each payload's summary (length, first letter, inverse of the
-last letter) and each pop drops such partners before the loop. A product
-outside the ball reads as a member already, so dropping the pair changes no
-member, no join order and no count. An exhausted closure of k elements thus
-multiplies at most k(k+1) times (x*y and y*x once for each pair of distinct
-members, and x*x twice), and exactly that often in the other families when
-no product comes from the memo below. On F_5 at r = 4 the 200-step tail of seed 30 multiplies 83,246 times against
-k(k+1) = 327,756.
+land in the ball. A reduced product has length |x| + |y| - 2c, where c
+letters cancel, so for |x| = n, |y| = m and c = ceil((n + m - r) / 2),
+x*y lands exactly when y begins with the first c letters of x^-1, and y*x
+exactly when y ends with the last c letters of x^-1; if c <= 0 both land.
+The store keeps, as compact ints, the reach buckets of each payload
+(``Free.reach_keys``): those it joins, by its length and by its prefixes
+and suffixes of up to ceil(m / 2) letters, and the at most 2r + 1 that hold
+its partners in reach. Each closure files its members in the buckets they
+join, and a pop visits the union of its buckets in snapshot order, so no
+partner out of reach is visited at all. A product outside the ball reads as
+a member already, so skipping the pair changes no member, no join order and
+no count. An exhausted closure of k elements thus multiplies at most
+k(k+1) times (x*y and y*x once for each pair of distinct members, and x*x
+twice), and exactly that often in the other families when no product comes
+from the memo below. On F_5 at r = 4 the 200-step tail of seed 30
+multiplies 23,446 times against k(k+1) = 327,756, and that of seed 28
+4,584 times against 96,410.
 
 Balls of at most ``_MEMO_MAX_BALL`` elements also keep every product pair
 on the store, filled on demand, so the many tails of a survey share their
@@ -54,6 +60,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -118,8 +125,9 @@ class ClosureResult:
 class _Store:
     """Ids for the in-ball payloads of one group and radius, in first-seen
     order, with their canonical keys, elements and, for families that have
-    one, summaries, and for balls of at most ``_MEMO_MAX_BALL`` elements the
-    products found so far."""
+    a reach index (F_d), the buckets each id joins and looks up, and for
+    balls of at most ``_MEMO_MAX_BALL`` elements the products found so
+    far."""
 
     def __init__(self, desc: GroupDescriptor, radius: int):
         self.desc, self.radius = desc, radius
@@ -127,8 +135,11 @@ class _Store:
         self.payloads: list[Any] = []
         self.keys: list[str] = []
         self.elements: list[GroupElement] = []
-        self.summaries: list[tuple[int, int, int]] | None = (
-            None if desc.summary is None else [])
+        #: joins[i] and looks[i] are id i's reach buckets, as compact ints
+        self.joins: list[tuple[int, ...]] | None = (
+            None if desc.reach_keys is None else [])
+        self.looks: list[tuple[int, ...]] = []
+        self.buckets: dict[Any, int] = {}  # reach bucket -> its compact int
         #: rows[a][b] is products(a, b), kept only for small balls
         self.rows: dict[int, dict[int, tuple[int, int]]] = {}
         self.memoise = ball_size(desc, radius) <= _MEMO_MAX_BALL
@@ -145,17 +156,22 @@ class _Store:
         self.payloads.append(p)
         self.keys.append(self.desc.format(p))
         self.elements.append(GroupElement(self.desc, p))
-        if self.summaries is not None:
-            self.summaries.append(self.desc.summary(p))
+        if self.joins is not None:
+            buckets = self.buckets
+            joins, looks = self.desc.reach_keys(p, self.radius)
+            self.joins.append(tuple(
+                buckets.setdefault(b, len(buckets)) for b in joins))
+            self.looks.append(tuple(
+                buckets.setdefault(b, len(buckets)) for b in looks))
         return i
 
     def products(self, a: int, b: int) -> tuple[int, int]:
-        """The ids of a*b and b*a: length-first for families with a summary,
-        else looked up before the length test, which costs those families
-        one closed-form length per product not yet in the store."""
+        """The ids of a*b and b*a: length-first for families with a reach
+        index, else looked up before the length test, which costs those
+        families one closed-form length per product not yet in the store."""
         p, q = self.payloads[a], self.payloads[b]
         id_of = self.id_of
-        if self.summaries is None:
+        if self.joins is None:
             mul = self.desc.mul
             pair = id_of(mul(p, q)), id_of(mul(q, p))
         else:
@@ -164,19 +180,6 @@ class _Store:
         if self.memoise:
             self.rows.setdefault(a, {})[b] = pair
         return pair
-
-
-def _in_reach(summaries: list[tuple[int, int, int]], x: int,
-              snapshot: list[tuple[str, int, int]], radius: int
-              ) -> list[tuple[str, int, int]]:
-    """The partners (key, j, y) of x whose product with x, in either order,
-    may land in the ball. The others have |x| + |y| > radius and neither
-    x*y nor y*x cancels a letter, so both products have length |x| + |y|."""
-    n, first, inv_last = summaries[x]
-    room = radius - n
-    return [p for p in snapshot
-            if (s := summaries[p[2]])[0] <= room
-            or s[1] == inv_last or s[2] == first]
 
 
 _STORES: dict[tuple[GroupDescriptor, int], _Store] = {}
@@ -207,11 +210,21 @@ def closure(generators: Sequence[GroupElement],
         raise ValueError("generators must share one descriptor")
     store = _store(desc, budget.radius)
     products_of, rows, keys = store.products, store.rows, store.keys
-    summaries, radius = store.summaries, budget.radius
+    joins, looks = store.joins, store.looks
     ids = sorted({store.id_of(g.payload) for g in gens} - {-1},
                  key=keys.__getitem__)  # members' ids, in join order
     members = {-1, *ids}  # -1, outside the ball, reads as already a member
-    partners = [(keys[z], j, z) for j, z in enumerate(ids)]
+    # Without a reach index every member is a partner, kept in key order;
+    # with one, each member sits in the buckets it joins, in join order.
+    partners: list[tuple[str, int, int]] = []
+    index: defaultdict[int, list[tuple[str, int, int]]] = defaultdict(list)
+    for j, z in enumerate(ids):
+        entry = (keys[z], j, z)
+        if joins is None:
+            partners.append(entry)
+        else:
+            for b in joins[z]:
+                index[b].append(entry)
     snap: list[int] = []  # member count at each pop, in join order
     max_elements, max_products = budget.max_elements, budget.max_products
     count, products = len(ids), 0
@@ -225,22 +238,33 @@ def closure(generators: Sequence[GroupElement],
         row = rows.get(x, {})
         t = bisect_right(snap, jx)  # y's pop saw x exactly when t <= j(y) < jx
         snap.append(count)
-        # Partners visited before the product budget runs out; each counts 2.
-        snapshot = partners[:(max_products - products + 1) // 2]
-        visits = len(snapshot)
-        # Pairs out of reach are counted in visits but not multiplied.
-        visit = (snapshot if summaries is None
-                 else _in_reach(summaries, x, snapshot, radius))
+        # The snapshot is the members, in key order, cut at the partner
+        # that reaches the product budget; each partner in it counts 2.
+        cut = (max_products - products + 1) // 2
+        visits = count if count < cut else cut
+        if joins is None:
+            visit = partners[:cut]
+        else:  # the partners of the snapshot with a product in the ball
+            visit = sorted({e for b in looks[x] if b in index
+                            for e in index[b]})
+            if cut < count:
+                last = sorted(map(keys.__getitem__, ids))[cut]
+                visit = visit[:bisect_left(visit, (last,))]
         for key, jy, y in visit:
             if jy < t or jy >= jx:
                 for z in row.get(y) or products_of(x, y):
                     if z not in members:
                         members.add(z)
-                        insort(partners, (keys[z], count, z))
+                        entry = (keys[z], count, z)
+                        if joins is None:
+                            insort(partners, entry)
+                        else:
+                            for b in joins[z]:
+                                index[b].append(entry)
                         ids.append(z)
                         count += 1
-                if count >= max_elements:
-                    visits = bisect_left(snapshot, (key,)) + 1
+                if count >= max_elements:  # count the snapshot up to y
+                    visits = sum(keys[w] < key for w in ids[:snap[-1]]) + 1
                     break
         products += 2 * visits
         if products >= max_products or count >= max_elements:

@@ -36,18 +36,19 @@ class GroupDescriptor:
     ``parse``. ``abelian_image(payload)`` is the homomorphism onto Z^k, the
     free part of the abelianisation, as a tuple of k ints: the identity on
     Z^d, the letter exponent sums on F_d, (a, b) on the Heisenberg group,
-    (position,) on the lamplighter and () on Z/m. A family whose
-    products have length |p| + |q| unless a letter cancels (F_d) also
-    defines ``summary``, payload -> (length, first letter, inverse of the
-    last letter), and ``mul_within(p, q, radius)``, the product if its
-    length is at most radius, else None; the closure uses both to skip
-    products outside the ball.
+    (position,) on the lamplighter and () on Z/m. A family whose products
+    have length |p| + |q| - 2c, c the number of cancelled letters (F_d),
+    also defines ``reach_keys(payload, radius)``, the buckets of the
+    closure's reach index that the payload joins and those it looks up,
+    and ``mul_within(p, q, radius)``, the product if its length is at most
+    radius, else None; the closure uses both to multiply only pairs with a
+    product inside the ball.
     """
 
     #: Family name, as in the text form of the descriptor.
     kind: ClassVar[str]
-    #: Per-payload (length, first letter, inverse of last letter), or None.
-    summary: ClassVar[Callable[[Any], tuple[int, int, int]] | None] = None
+    #: (payload, radius) -> (buckets joined, buckets looked up), or None.
+    reach_keys: ClassVar[Callable[[Any, int], tuple[list, list]] | None] = None
 
     def __str__(self) -> str:
         params = ",".join(str(getattr(self, f.name)) for f in fields(self))
@@ -149,10 +150,30 @@ class Free(GroupDescriptor):
             j += 1
         return u[:i] + v[j:] if i + nv - j <= radius else None
 
-    def summary(self, p: tuple) -> tuple[int, int, int]:
-        """(length, first letter, inverse of the last letter); the empty
-        word has no letters and reads (0, 0, 0)."""
-        return (len(p), p[0], -p[-1]) if p else (0, 0, 0)
+    def reach_keys(self, p: tuple, radius: int) -> tuple[list, list]:
+        """The reach-index buckets word p joins, and those that together
+        hold exactly the words q of the radius ball for which p*q or q*p
+        lies in it.
+
+        A bucket is ("len", m), the words of length m, or ("pre", m, s) or
+        ("suf", m, s), those whose first or last len(s) letters are s. For
+        |p| = n and |q| = m, p*q has length n + m - 2k when k letters
+        cancel, so it lands exactly when k >= c = ceil((n + m - radius) / 2):
+        when q begins with the first c letters of p^-1. Likewise q*p lands
+        exactly when q ends with the last c letters of p^-1, and c <= 0
+        admits every q of length m. As n <= radius, c <= ceil(m / 2), so a
+        word joins by its affixes of at most that many letters.
+        """
+        n, inv = len(p), self.inv(p)
+        joins = [("len", n)]
+        for c in range(1, (n + 1) // 2 + 1):
+            joins += [("pre", n, p[:c]), ("suf", n, p[-c:])]
+        looks = []
+        for m in range(radius + 1):
+            c = (n + m - radius + 1) // 2
+            looks += ([("len", m)] if c <= 0
+                      else [("pre", m, inv[:c]), ("suf", m, inv[-c:])])
+        return joins, looks
 
     def inv(self, p: tuple) -> tuple[int, ...]:
         return tuple(-s for s in reversed(p))

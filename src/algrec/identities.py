@@ -41,9 +41,10 @@ def nilpotent_identity_grid(k_values: Iterable[int],
     have exponent n*m + L and the second -n*m + L, where
     L = (k1 + k3) n + (k2 + k4) m.
 
-    Multiplies raw payload triples with the Heisenberg group law, with
-    powers shared across the grid so that large grids finish in well under
-    a second. One row per case, in (k1, k2, k3, k4, n, m) order.
+    Multiplies raw payload triples with the Heisenberg group law. The
+    powers of c, d, e and f depend on one k each, so each is tabulated once
+    per k and shared across the grid: large grids finish in well under a
+    second. One row per case, in (k1, k2, k3, k4, n, m) order.
     """
     mul = Heisenberg().mul
 
@@ -61,15 +62,19 @@ def nilpotent_identity_grid(k_values: Iterable[int],
     if any(n < 1 for n in ns) or any(m < 1 for m in ms):
         raise ValueError("n and m must be positive")
     n_max, m_max = max(ns), max(ms)
+    cpows = {k: powers((1, 0, k), n_max) for k in ks}
+    dpows = {k: powers((0, 1, k), m_max) for k in ks}
+    epows = {k: powers((-1, 0, k), n_max) for k in ks}
+    fpows = {k: powers((0, -1, k), m_max) for k in ks}
     rows: list[GridRow] = []
     for k1 in ks:
+        cpow = cpows[k1]
         for k2 in ks:
+            dpow = dpows[k2]
             for k3 in ks:
+                epow = epows[k3]
                 for k4 in ks:
-                    cpow = powers((1, 0, k1), n_max)
-                    dpow = powers((0, 1, k2), m_max)
-                    epow = powers((-1, 0, k3), n_max)
-                    fpow = powers((0, -1, k4), m_max)
+                    fpow = fpows[k4]
                     kn, km = k1 + k3, k2 + k4
                     for n in ns:
                         cn, en = cpow[n], epow[n]

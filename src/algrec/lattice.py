@@ -52,8 +52,17 @@ from typing import Sequence
 Vec = tuple[int, ...]
 
 
-def _as_vectors(vectors: Sequence[Sequence[int]]) -> list[Vec]:
-    vecs = [tuple(int(x) for x in v) for v in vectors]
+class _Vectors(list):
+    """Vectors that ``_as_vectors`` has checked: int tuples, at least one,
+    all of one positive dimension. Each public function checks its input
+    once; the lists it hands to the others are of this type, so they are
+    not checked again."""
+
+
+def _as_vectors(vectors: Sequence[Sequence[int]]) -> _Vectors:
+    if type(vectors) is _Vectors:
+        return vectors
+    vecs = _Vectors(tuple(int(x) for x in v) for v in vectors)
     if not vecs:
         raise ValueError("need at least one vector")
     d = len(vecs[0])
@@ -211,7 +220,7 @@ def subgroup_index(vectors: Sequence[Sequence[int]]) -> LatticeBasisReport:
     vecs = _as_vectors(vectors)
     d = len(vecs[0])
     basis = _lattice_basis(vecs, d)
-    nonzero = smith_normal_form(basis).diagonal if basis else ()
+    nonzero = smith_normal_form(_Vectors(basis)).diagonal if basis else ()
     rank = len(nonzero)
     index = math.prod(nonzero) if rank == d else None
     diagonal = nonzero + (0,) * (min(len(vecs), d) - rank)
@@ -551,7 +560,7 @@ def classify_subsemigroup(
         report = subgroup_index(vecs)
         return SubsemigroupClassification(IN_PROPER_SUBGROUP, rank=0,
                                           report=report)
-    witness = zero_in_convex_hull(nonzero)
+    witness = zero_in_convex_hull(_Vectors(nonzero))
     if isinstance(witness, ZeroInHullWitness):
         report = subgroup_index(vecs)
         if report.index == 1:
@@ -566,7 +575,7 @@ def classify_subsemigroup(
     # A normal orthogonal to every vector: the set does not span, so decide
     # in coordinates of a basis of its span.
     basis, coords = _span_coordinates(nonzero)
-    witness = zero_in_convex_hull(coords)
+    witness = zero_in_convex_hull(_Vectors(coords))
     if isinstance(witness, HalfSpaceWitness):
         normal = _lift_normal(basis, witness.normal)
         _check_normal(normal, nonzero)

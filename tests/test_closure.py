@@ -208,26 +208,30 @@ def heavy_free_tail(seed):
 
 
 @pytest.mark.parametrize("seed,products,kept,muls", [
-    (28, 180_172, 310, 16_538), (30, 640_372, 572, 83_246)])
+    (28, 180_172, 310, 4_584), (30, 640_372, 572, 23_446)])
 def test_exhausted_free_closure_multiplies_only_pairs_in_reach(
         monkeypatch, seed, products, kept, muls):
     """The heavy F_5, r = 4, 200-step tail closures count two products per
     partner visit, but multiply each unordered pair at most once, and only
-    when one of its products may land in the ball: far fewer than k(k+1)
+    when one of its products lands in the ball: far fewer than k(k+1)
     calls of mul_within for k elements, and none of mul."""
     monkeypatch.setattr(C, "_STORES", {})
     tail = heavy_free_tail(seed)
-    calls, plain = [], []
+    calls, plain, pairs = [], [], []
     mul, mul_within = G.Free.mul, G.Free.mul_within
+    products_of = C._Store.products
     monkeypatch.setattr(G.Free, "mul", lambda self, p, q: plain.append(1)
                         or mul(self, p, q))
     monkeypatch.setattr(G.Free, "mul_within", lambda self, p, q, r:
                         calls.append(1) or mul_within(self, p, q, r))
+    monkeypatch.setattr(C._Store, "products", lambda self, a, b:
+                        pairs.append(products_of(self, a, b)) or pairs[-1])
     result = closure(tail, ClosureBudget(radius=4))
     k = len(result.elements)
     assert result.exhausted
     assert (result.products_performed, k) == (products, kept)
-    assert len(calls) == muls < k * (k + 1)
+    assert len(calls) == muls == 2 * len(pairs) < k * (k + 1)
+    assert (-1, -1) not in pairs
     assert plain == []
 
 
@@ -244,25 +248,51 @@ def test_heavy_free_closures_within_budget(monkeypatch):
 
 @pytest.mark.parametrize("descriptor,radius", [
     (G.Free(2), 3), (G.Free(3), 3), (G.Free(5), 2)], ids=str)
-def test_pairs_out_of_reach_leave_the_ball(descriptor, radius):
-    """Over every ordered pair (x, y) of the ball, a partner y that the
-    skip rule drops for x has x*y and y*x both outside the ball, and the
-    partners kept stay in snapshot order."""
-    store = C._Store(descriptor, radius)
-    ball = [store.id_of(p) for p in G.ball_distances(descriptor, radius)]
-    snapshot = sorted((store.keys[y], j, y) for j, y in enumerate(ball))
-    dropped = 0
-    for x in ball:
-        kept = C._in_reach(store.summaries, x, snapshot, radius)
-        near = {y for _, _, y in kept}
-        assert kept == [p for p in snapshot if p[2] in near]
-        for y in ball:
-            if y not in near:
-                p, q = store.payloads[x], store.payloads[y]
-                assert len(descriptor.mul(p, q)) > radius
-                assert len(descriptor.mul(q, p)) > radius
-                dropped += 1
-    assert dropped > 0
+def test_pairs_out_of_reach_leave_the_ball(monkeypatch, descriptor, radius):
+    """The reach index is exact both ways: it yields y for x exactly when
+    x*y or y*x lies in the ball. Seeded with the whole ball, the closure
+    pops each x once with every element as a partner, skips the partners
+    popped before x, and gains no member, so it multiplies each unordered
+    pair {x, y} once exactly when the index yields y for x. Over every pair
+    of the ball, that is exactly when a product lands; each pop multiplies
+    in snapshot (canonical key) order; and a product budget that cuts the
+    snapshot of pop i after its first c partners limits that pop to those
+    partners."""
+    ball = sorted(G.ball_distances(descriptor, radius))
+    elements = [G.GroupElement(descriptor, p) for p in ball]
+    length = descriptor.length
+    products_of = C._Store.products
+    calls = []
+    monkeypatch.setattr(C._Store, "products", lambda self, a, b: calls.append(
+        (self.payloads[a], self.payloads[b])) or products_of(self, a, b))
+
+    def run(**caps):
+        monkeypatch.setattr(C, "_STORES", {})  # no memoised products
+        calls.clear()
+        return closure(elements, ClosureBudget(radius, **caps))
+
+    key = descriptor.format
+    order = sorted(ball, key=key)  # join and pop order
+    result = run()
+    assert result.exhausted and len(result.elements) == len(ball)
+    in_reach = {(p, q) for i, p in enumerate(order) for q in order[i:]
+                if min(length(descriptor.mul(p, q)),
+                       length(descriptor.mul(q, p))) <= radius}
+    assert len(calls) == len(set(calls)) and set(calls) == in_reach
+    assert calls == sorted(calls, key=lambda c: (
+        order.index(c[0]), key(c[1])))
+    assert 0 < len(in_reach) < len(ball) * (len(ball) + 1) // 2
+
+    n = len(ball)
+    for i in (0, n // 3, n - 1):
+        for c in (1, n // 2, n - 1):
+            budget = 2 * n * i + 2 * c  # pop i's snapshot is cut after c
+            result = run(max_products=budget)
+            x = order[i]
+            assert not result.exhausted
+            assert result.products_performed == budget
+            assert [q for p, q in calls if p == x] == [
+                q for q in order[i:c] if (x, q) in in_reach]
 
 
 def full_inversion_report(trace, n, budget):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,15 +28,22 @@ def test_nilpotent_identity_derived_case():
 
 
 def test_grid_agrees_with_pointwise():
+    """The grid's rows are exactly the element-level check of every case,
+    in (k1, k2, k3, k4, n, m) order: on a symmetric grid, and on one with
+    unsorted, repeated k values and different n and m ranges, where a power
+    table taken for the wrong k or the wrong length would show."""
     grid = nilpotent_identity_grid(range(-2, 3), range(1, 4), range(1, 4))
     assert grid.cases == 5 ** 4 * 9
     assert grid.all_hold and grid.failures == ()
-    cases = [row[:6] for row in grid.rows]
-    assert cases == sorted(cases)
-    # every row of the batched arithmetic against the element-level routine
-    for row in grid.rows:
-        res = nilpotent_identity_check(*row[:6])
-        assert row[6:] == (res.exponent_pos, res.exponent_neg, res.holds)
+    for ks, ns, ms in [(range(-2, 3), range(1, 4), range(1, 4)),
+                       ([2, -3, 0, 2], [4, 1], [1, 5, 2])]:
+        expected = []
+        for case in product(*[sorted(set(ks))] * 4, sorted(set(ns)),
+                            sorted(set(ms))):
+            res = nilpotent_identity_check(*case)
+            expected.append((*case, res.exponent_pos, res.exponent_neg,
+                             res.holds))
+        assert nilpotent_identity_grid(ks, ns, ms).rows == tuple(expected)
 
 
 @settings(max_examples=60, deadline=None)

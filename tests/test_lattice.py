@@ -218,8 +218,13 @@ def test_conic_solution_none_outside_the_cone():
 
 
 def test_hull_empty_rejected():
-    with pytest.raises(ValueError):
-        zero_in_convex_hull([])
+    """Each public entry point checks its input: no vectors, vectors of
+    dimension 0 and vectors of different dimensions raise ValueError."""
+    for bad in ([], [()], [(1, 0), (1,)], [(1,), (2, 3)]):
+        for public in (zero_in_convex_hull, classify_subsemigroup,
+                       subgroup_index, smith_normal_form):
+            with pytest.raises(ValueError):
+                public(bad)
 
 
 @settings(max_examples=200, deadline=None)
