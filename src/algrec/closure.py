@@ -1,5 +1,9 @@
 """Budget-bounded semigroup closure and inverse-witness reports.
 
+A witness report keeps its rows as columns, the memberships and the word
+lengths, and builds row tuples only when ``rows`` is read; a survey only
+tallies the memberships.
+
 The closure saturates pairwise products: every member x is paired with the
 members present when x is popped, on both sides, and products are kept while
 their word length stays within the budget radius. At exhaustion the element
@@ -42,12 +46,23 @@ its partners in reach. Each closure files its members in the buckets they
 join, and a pop visits the union of its buckets in snapshot order, so no
 partner out of reach is visited at all. A product outside the ball reads as
 a member already, so skipping the pair changes no member, no join order and
-no count. An exhausted closure of k elements thus multiplies at most
-k(k+1) times (x*y and y*x once for each pair of distinct members, and x*x
-twice), and exactly that often in the other families when no product comes
-from the memo below. On F_5 at r = 4 the 200-step tail of seed 30
-multiplies 23,446 times against k(k+1) = 327,756, and that of seed 28
+no count. On F_5 at r = 4 the 200-step tail of seed 30 multiplies 23,446
+times against k(k+1) = 327,756 for its k members, and that of seed 28
 4,584 times against 96,410.
+
+Once the member count reaches the ball size, no product can join: the pop
+in progress stops multiplying, and each later pop only counts its
+snapshot, 2 min(count, cut) products, visiting no partner. Members, join
+order, product count and truncation stay those of the full loop. Survey
+tails fill small balls often: in one pass of the benchmark's ar-survey
+workload (seed 5), 7 of 32 Heisenberg closures filled the 135-element
+r = 4 ball, at up to 34,966 counted products, and 6 of 16 lamplighter
+closures the 44-element one.
+
+An exhausted closure of k elements multiplies at most k(k+1) times
+(x*y and y*x once for each pair of distinct members, and x*x twice). Off
+F_d it multiplies exactly that often unless the memo below supplies a
+product or the members fill the ball.
 
 Balls of at most ``_MEMO_MAX_BALL`` elements also keep every product pair
 on the store, filled on demand, so the many tails of a survey share their
@@ -142,7 +157,8 @@ class _Store:
         self.buckets: dict[Any, int] = {}  # reach bucket -> its compact int
         #: rows[a][b] is products(a, b), kept only for small balls
         self.rows: dict[int, dict[int, tuple[int, int]]] = {}
-        self.memoise = ball_size(desc, radius) <= _MEMO_MAX_BALL
+        self.size = ball_size(desc, radius)
+        self.memoise = self.size <= _MEMO_MAX_BALL
 
     def id_of(self, p: Any) -> int:
         """Payload p's id, interned on first sight; -1 outside the ball or
@@ -227,6 +243,7 @@ def closure(generators: Sequence[GroupElement],
                 index[b].append(entry)
     snap: list[int] = []  # member count at each pop, in join order
     max_elements, max_products = budget.max_elements, budget.max_products
+    full = store.size  # at this count no product can join
     count, products = len(ids), 0
     truncated = False
     while len(snap) < count:
@@ -242,7 +259,9 @@ def closure(generators: Sequence[GroupElement],
         # that reaches the product budget; each partner in it counts 2.
         cut = (max_products - products + 1) // 2
         visits = count if count < cut else cut
-        if joins is None:
+        if count == full:
+            visit = ()
+        elif joins is None:
             visit = partners[:cut]
         else:  # the partners of the snapshot with a product in the ball
             visit = sorted({e for b in looks[x] if b in index
@@ -265,6 +284,8 @@ def closure(generators: Sequence[GroupElement],
                         count += 1
                 if count >= max_elements:  # count the snapshot up to y
                     visits = sum(keys[w] < key for w in ids[:snap[-1]]) + 1
+                    break
+                if count == full:
                     break
         products += 2 * visits
         if products >= max_products or count >= max_elements:
@@ -303,15 +324,24 @@ class WitnessRow(NamedTuple):
 
 @dataclass(frozen=True)
 class InverseWitnessReport:
-    """Per-index membership of X_i^-1 in the closure of the walk tail."""
+    """Per-index membership of X_i^-1 in the closure of the walk tail, kept
+    as columns: row k is index start + k, memberships[k] and lengths[k],
+    the word length of X_i or None outside the radius."""
 
     closure_result: ClosureResult
-    rows: tuple[WitnessRow, ...]
+    start: int
+    memberships: tuple[Membership, ...]
+    lengths: tuple[int | None, ...]
+
+    @cached_property
+    def rows(self) -> tuple[WitnessRow, ...]:
+        """The columns as rows, built on first use."""
+        return tuple(map(WitnessRow, range(self.start, self.start + len(
+            self.memberships)), self.memberships, self.lengths))
 
     @cached_property
     def _tally(self) -> dict[Membership, int]:
-        members = [row.membership for row in self.rows]
-        return {m: members.count(m) for m in Membership}
+        return {m: self.memberships.count(m) for m in Membership}
 
     @property
     def present(self) -> int:
@@ -328,7 +358,8 @@ class InverseWitnessReport:
     @property
     def present_fraction(self) -> Fraction:
         """Fraction Present over all reported indices."""
-        return Fraction(self.present, len(self.rows)) if self.rows else Fraction(0)
+        total = len(self.memberships)
+        return Fraction(self.present, total) if total else Fraction(0)
 
     @property
     def present_fraction_decided(self) -> Fraction:
@@ -374,8 +405,7 @@ def inverse_witness_report(trace: WalkTrace, n: int,
     payload, unknown = tail.payload, Membership.UNKNOWN
     members = [unknown if length is None else verdicts[payload(i)]
                for i, length in enumerate(lengths)]
-    return InverseWitnessReport(result, tuple(map(
-        WitnessRow, range(n, n + len(lengths)), members, lengths)))
+    return InverseWitnessReport(result, n, tuple(members), tuple(lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +431,10 @@ def write_witness_report_csv(report: InverseWitnessReport, path: str | Path,
                f"unknown={report.unknown}")
     lines.append(summary)
     lines.append("i,membership,word_length")
-    for row in report.rows:
-        wl = "" if row.position_length is None else row.position_length
-        lines.append(f"{row.index},{row.membership.value},{wl}")
+    for i, (membership, length) in enumerate(
+            zip(report.memberships, report.lengths), start=report.start):
+        wl = "" if length is None else length
+        lines.append(f"{i},{membership.value},{wl}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -27,7 +27,6 @@ from .groups import (
 )
 from .measures import (
     SymmetricMeasure,
-    first_asymmetric_atom,
     heavy_tail_measure_z2,
     make_measure,
     uniform_standard_measure,
@@ -237,7 +236,7 @@ def build_measure(config: ScenarioConfig) -> SymmetricMeasure:
                                 for el, w in config.explicit_atoms])
     except ValueError as exc:
         raise ConfigError("measure.atoms", str(exc)) from None
-    offending = first_asymmetric_atom(measure)
+    offending = measure.first_asymmetric_atom
     if offending is not None:
         raise ConfigError("measure.atoms",
                           f"not symmetric at atom {format_element(offending)}")

@@ -15,9 +15,11 @@ is the breadth-first reference they are checked against.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from functools import cache
+from itertools import accumulate
+from operator import add
 from typing import Any, Callable, ClassVar, Iterable
 
 
@@ -33,7 +35,10 @@ class GroupDescriptor:
     Subclasses define ``identity_payload``, ``generator_payloads``,
     ``canonicalize``, ``mul``, ``inv``, ``length`` (the word length, in
     closed form), ``ball_size``, ``abelian_image``, ``format`` and
-    ``parse``. ``abelian_image(payload)`` is the homomorphism onto Z^k, the
+    ``parse``. Every family but F_d also defines ``walk(steps)``, the
+    running products of a list of step payloads and their word lengths, as
+    two lists, by a loop on ints that builds only the payloads it returns.
+    ``abelian_image(payload)`` is the homomorphism onto Z^k, the
     free part of the abelianisation, as a tuple of k ints: the identity on
     Z^d, the letter exponent sums on F_d, (a, b) on the Heisenberg group,
     (position,) on the lamplighter and () on Z/m. A family whose products
@@ -77,7 +82,11 @@ class ZPower(GroupDescriptor):
         return (0,) * self.rank
 
     def mul(self, p: tuple, q: tuple) -> tuple[int, ...]:
-        return tuple(x + y for x, y in zip(p, q))
+        return tuple(map(add, p, q))
+
+    def walk(self, steps: list) -> tuple[list, list[int]]:
+        payloads = list(accumulate(steps, self.mul))
+        return payloads, list(map(self.length, payloads))
 
     def inv(self, p: tuple) -> tuple[int, ...]:
         return tuple(-x for x in p)
@@ -89,7 +98,7 @@ class ZPower(GroupDescriptor):
                 for i in range(d) for sign in (1, -1)]
 
     def length(self, p: tuple) -> int:
-        return sum(abs(x) for x in p)
+        return sum(map(abs, p))
 
     def ball_size(self, radius: int) -> int:
         d = self.rank
@@ -237,6 +246,16 @@ class Heisenberg(GroupDescriptor):
         a1, b1, c1 = p
         return (-a1, -b1, a1 * b1 - c1)
 
+    def walk(self, steps: list) -> tuple[list, list[int]]:
+        a = b = c = 0
+        payloads = []
+        for da, db, dc in steps:
+            c += dc + a * db
+            a += da
+            b += db
+            payloads.append((a, b, c))
+        return payloads, list(map(self.length, payloads))
+
     def length(self, p: tuple) -> int:
         """Blachère's closed form (Colloq. Math. 2003) on 0 <= a <= b, c >= 0.
         The first three steps are automorphisms that permute the generators;
@@ -310,6 +329,22 @@ class LamplighterZ(GroupDescriptor):
         x, f = p
         return (-x, tuple(sorted(s - x for s in f)))
 
+    def walk(self, steps: list) -> tuple[list, list[int]]:
+        """The lit lamps stay one sorted list; a step toggles its lamps,
+        shifted by the current position, in place by bisection."""
+        x, lit, payloads = 0, [], []
+        for y, g in steps:
+            for s in g:
+                s += x
+                i = bisect_left(lit, s)
+                if i < len(lit) and lit[i] == s:
+                    del lit[i]
+                else:
+                    lit.insert(i, s)
+            x += y
+            payloads.append((x, tuple(lit)))
+        return payloads, list(map(self.length, payloads))
+
     def length(self, p: tuple) -> int:
         """Lit lamps plus the shortest tour from 0 over the lamps that ends at
         x (Cleary and Taback, "Dead end words in lamplighter groups", 2005)."""
@@ -368,6 +403,11 @@ class CyclicZ(GroupDescriptor):
 
     def inv(self, p: int) -> int:
         return (-p) % self.modulus
+
+    def walk(self, steps: list) -> tuple[list[int], list[int]]:
+        m = self.modulus
+        payloads = [p % m for p in accumulate(steps)]
+        return payloads, list(map(self.length, payloads))
 
     @property
     def generator_payloads(self) -> tuple[int, int]:

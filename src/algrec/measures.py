@@ -43,6 +43,16 @@ class SymmetricMeasure:
         return {g: w for g, w in self.atoms}
 
     @cached_property
+    def first_asymmetric_atom(self) -> GroupElement | None:
+        """The first atom g, in canonical order, with mu(g) != mu(g^-1), or
+        None: the one symmetry check, made once per measure."""
+        weights = self.weight_by_element
+        for g, w in self.atoms:
+            if weights.get(invert(g)) != w:
+                return g
+        return None
+
+    @cached_property
     def sampling_thresholds(self) -> tuple[int, ...]:
         """Cumulative 64-bit thresholds t_0 < ... < t_{K-1} = 2**64.
 
@@ -68,8 +78,8 @@ def make_measure(descriptor: GroupDescriptor,
     """Build a measure from (element, weight) pairs.
 
     Duplicate elements are merged, weights must be positive rationals
-    summing to exactly 1. Symmetry is not forced here; use
-    first_asymmetric_atom to check it.
+    summing to exactly 1. Symmetry is not forced here; the measure's
+    first_asymmetric_atom checks it.
     """
     merged: dict[GroupElement, Fraction] = {}
     for g, w in weighted_atoms:
@@ -130,11 +140,3 @@ def heavy_tail_measure_z2(alpha: float, cutoff: int,
     atoms.append((make_element(desc, (-1, 1)), minor_weight / 2))
     return make_measure(desc, atoms)
 
-
-def first_asymmetric_atom(measure: SymmetricMeasure) -> GroupElement | None:
-    """The first atom g, in canonical order, with mu(g) != mu(g^-1), or None."""
-    weights = measure.weight_by_element
-    for g, w in measure.atoms:
-        if weights.get(invert(g)) != w:
-            return g
-    return None

@@ -8,17 +8,17 @@ multiplies the resulting increments left to right. Identical
 A trace keeps its positions in a raw form and builds an element only when
 one is asked for. On free groups a position is a reduced word whose length
 grows linearly with the step, so the positions are node ids of one prefix
-trie, in memory linear in the steps. Other families keep the list of
-payloads, each the product of the previous one and the increment's payload
-by the family's ``mul``. Both kinds give every position's word length and
-payload without building an element.
+trie, in memory linear in the steps, and a length is the node's depth.
+Every other family runs its walk kernel, ``walk`` on its descriptor: one
+loop on ints over the step payloads that returns the position payloads and
+their word lengths, each computed once; slices keep both lists. Both kinds
+give every position's word length and payload without building an element.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .groups import (
     format_element,
 )
 from .manifest import write_csv
-from .measures import SymmetricMeasure, first_asymmetric_atom
+from .measures import SymmetricMeasure
 
 
 class PrefixTrie:
@@ -150,13 +150,16 @@ class Positions(Sequence):
 
 
 class PayloadPositions(Positions):
-    """Positions held as the list of their canonical payloads."""
+    """Positions held as the list of their canonical payloads, with the list
+    of their word lengths alongside."""
 
-    __slots__ = ("descriptor", "payloads")
+    __slots__ = ("descriptor", "payloads", "_lengths")
 
-    def __init__(self, descriptor: GroupDescriptor, payloads: list):
+    def __init__(self, descriptor: GroupDescriptor, payloads: list,
+                 lengths: list[int]):
         self.descriptor = descriptor
         self.payloads = payloads
+        self._lengths = lengths
 
     def __len__(self) -> int:
         return len(self.payloads)
@@ -165,10 +168,13 @@ class PayloadPositions(Positions):
         return self.payloads[i]
 
     def _view(self, index: slice) -> PayloadPositions:
-        return PayloadPositions(self.descriptor, self.payloads[index])
+        return PayloadPositions(self.descriptor, self.payloads[index],
+                                self._lengths[index])
 
     def lengths(self) -> list[int]:
-        return list(map(self.descriptor.length, self.payloads))
+        """Word length of each position, as the walk kernel computed it;
+        the list is shared, not copied."""
+        return self._lengths
 
     def texts(self):
         return map(self.descriptor.format, self.payloads)
@@ -264,19 +270,20 @@ def sample_atom_indices(measure: SymmetricMeasure, n_steps: int,
 def generate_walk(measure: SymmetricMeasure, n_steps: int,
                   seed: int) -> WalkTrace:
     """Generate the trace X_n = z_1 ... z_n of length n_steps."""
-    offending = first_asymmetric_atom(measure)
+    offending = measure.first_asymmetric_atom
     if offending is not None:
         raise ValueError(
             f"measure is not symmetric at atom {format_element(offending)}")
     support = measure.support
     steps = sample_atom_indices(measure, n_steps, seed).tolist()
     return trace_from_increments(measure.descriptor, seed,
-                                 [support[i] for i in steps])
+                                 map(support.__getitem__, steps))
 
 
 def trace_from_increments(descriptor: GroupDescriptor, seed: int,
                           increments) -> WalkTrace:
-    """The trace whose increments are given, with their running products."""
+    """The trace whose increments are given, with their running products:
+    trie nodes on F_d, else the family's walk kernel on the payloads."""
     increments = tuple(increments)
     if any(z.descriptor is not descriptor and z.descriptor != descriptor
            for z in increments):
@@ -290,8 +297,8 @@ def trace_from_increments(descriptor: GroupDescriptor, seed: int,
             ids.append(node)
         positions = TriePositions(descriptor, trie, ids)
     else:
-        positions = PayloadPositions(descriptor, list(accumulate(
-            (z.payload for z in increments), descriptor.mul)))
+        positions = PayloadPositions(descriptor, *descriptor.walk(
+            [z.payload for z in increments]))
     return WalkTrace(descriptor, seed, increments, positions)
 
 

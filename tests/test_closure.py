@@ -172,6 +172,9 @@ TABLE_CASES = [
     (G.Free(5), 4), (G.Free(3), 4), (G.Heisenberg(), 6), (G.ZPower(2), 20),
 ]
 
+#: The groups of TABLE_CASES whose balls some drawn tails fill under each cap.
+FILLED_BY_TAILS = {G.ZPower(1), G.CyclicZ(5), G.CyclicZ(12)}
+
 
 @pytest.mark.parametrize("cap", [None, "max_elements", "max_products"])
 @pytest.mark.parametrize("descriptor,max_radius", TABLE_CASES, ids=str)
@@ -179,9 +182,11 @@ def test_table_engine_replays_worklist(descriptor, max_radius, cap):
     """closure() replays the element worklist of tests/oracles.py, which
     tries every pair from both sides: elements, exhausted and product count
     agree on walk tails, with no cap or with a small cap that stops some
-    runs, whether or not the ball memoises products."""
+    runs, whether or not the ball memoises products. On Z and Z/m some
+    tails fill the ball under each cap, after which closure() counts the
+    remaining products without computing them."""
     mu = uniform_standard_measure(descriptor)
-    truncated = []
+    truncated, filled = [], []
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(1, max_radius), st.integers(0, 2**16),
@@ -197,9 +202,11 @@ def test_table_engine_replays_worklist(descriptor, max_radius, cap):
         assert (result.elements, result.exhausted, result.products_performed) \
             == (frozenset(elements), exhausted, products)
         truncated.append(not exhausted)
+        filled.append(len(elements) == G.ball_size(descriptor, radius))
 
     check()
     assert any(truncated) == (cap is not None)
+    assert any(filled) or descriptor not in FILLED_BY_TAILS
 
 
 def heavy_free_tail(seed):
@@ -249,61 +256,86 @@ def test_heavy_free_closures_within_budget(monkeypatch):
 @pytest.mark.parametrize("descriptor,radius", [
     (G.Free(2), 3), (G.Free(3), 3), (G.Free(5), 2)], ids=str)
 def test_pairs_out_of_reach_leave_the_ball(monkeypatch, descriptor, radius):
-    """The reach index is exact both ways: it yields y for x exactly when
-    x*y or y*x lies in the ball. Seeded with the whole ball, the closure
-    pops each x once with every element as a partner, skips the partners
-    popped before x, and gains no member, so it multiplies each unordered
-    pair {x, y} once exactly when the index yields y for x. Over every pair
-    of the ball, that is exactly when a product lands; each pop multiplies
-    in snapshot (canonical key) order; and a product budget that cuts the
-    snapshot of pop i after its first c partners limits that pop to those
-    partners."""
+    """The reach index is exact both ways: over every pair of the ball,
+    ``Free.reach_keys`` files y in a bucket that x looks up exactly when
+    x*y or y*x lies in the ball. Seeded with the ball's words that avoid
+    the letter -d, which are closed under products in the ball (reduction
+    only deletes letters), the closure pops each x once with every member
+    as a partner, skips the partners popped before x, gains no member and
+    never fills the ball, so it multiplies each unordered pair {x, y} once
+    exactly when a product lands; each pop multiplies in snapshot
+    (canonical key) order; and a product budget that cuts the snapshot of
+    pop i after its first c partners limits that pop to those partners.
+    Seeded with the whole ball, the closure is full from the start: it
+    multiplies nothing and counts what the worklist counts, under each
+    budget."""
     ball = sorted(G.ball_distances(descriptor, radius))
-    elements = [G.GroupElement(descriptor, p) for p in ball]
-    length = descriptor.length
+    length, mul = descriptor.length, descriptor.mul
+    reach = {p: descriptor.reach_keys(p, radius) for p in ball}
+    for p in ball:
+        looks = set(reach[p][1])
+        assert [q for q in ball if looks.intersection(reach[q][0])] == [
+            q for q in ball
+            if min(length(mul(p, q)), length(mul(q, p))) <= radius]
+
     products_of = C._Store.products
     calls = []
     monkeypatch.setattr(C._Store, "products", lambda self, a, b: calls.append(
         (self.payloads[a], self.payloads[b])) or products_of(self, a, b))
 
-    def run(**caps):
+    def run(seed, **caps):
         monkeypatch.setattr(C, "_STORES", {})  # no memoised products
         calls.clear()
-        return closure(elements, ClosureBudget(radius, **caps))
+        return closure([G.GroupElement(descriptor, p) for p in seed],
+                       ClosureBudget(radius, **caps))
 
     key = descriptor.format
-    order = sorted(ball, key=key)  # join and pop order
-    result = run()
-    assert result.exhausted and len(result.elements) == len(ball)
+    seed = [p for p in ball if -descriptor.rank not in p]
+    order = sorted(seed, key=key)  # join and pop order
+    result = run(seed)
+    assert result.exhausted and len(result.elements) == len(seed) < len(ball)
     in_reach = {(p, q) for i, p in enumerate(order) for q in order[i:]
-                if min(length(descriptor.mul(p, q)),
-                       length(descriptor.mul(q, p))) <= radius}
+                if min(length(mul(p, q)), length(mul(q, p))) <= radius}
     assert len(calls) == len(set(calls)) and set(calls) == in_reach
     assert calls == sorted(calls, key=lambda c: (
         order.index(c[0]), key(c[1])))
-    assert 0 < len(in_reach) < len(ball) * (len(ball) + 1) // 2
+    assert 0 < len(in_reach) < len(seed) * (len(seed) + 1) // 2
 
-    n = len(ball)
+    n = len(seed)
     for i in (0, n // 3, n - 1):
         for c in (1, n // 2, n - 1):
             budget = 2 * n * i + 2 * c  # pop i's snapshot is cut after c
-            result = run(max_products=budget)
+            result = run(seed, max_products=budget)
             x = order[i]
             assert not result.exhausted
             assert result.products_performed == budget
             assert [q for p, q in calls if p == x] == [
                 q for q in order[i:c] if (x, q) in in_reach]
 
+    n = len(ball)
+    for caps in [{}, {"max_elements": n}, {"max_elements": n + 1},
+                 *({"max_products": 2 * n * i + 2 * c}
+                   for i in (0, n // 3, n - 1) for c in (1, n // 2, n - 1))]:
+        result = run(ball, **caps)
+        elements, exhausted, products = worklist_closure(
+            [G.GroupElement(descriptor, p) for p in ball],
+            ClosureBudget(radius, **caps))
+        assert calls == []
+        assert (result.elements, result.exhausted, result.products_performed) \
+            == (frozenset(elements), exhausted, products)
+
 
 def full_inversion_report(trace, n, budget):
     """The witness report that closes the whole tail and inverts every
-    position, however long."""
+    position, however long, and its rows."""
     tail = list(trace.positions[n - 1:])
     result = closure(tail, budget, generator_range=(n, len(trace)))
-    return InverseWitnessReport(result, tuple(
-        WitnessRow(i, contains(result, G.invert(x)),
-                   G.word_length_within(x, budget.radius))
-        for i, x in enumerate(tail, start=n)))
+    rows = tuple(WitnessRow(i, contains(result, G.invert(x)),
+                            G.word_length_within(x, budget.radius))
+                 for i, x in enumerate(tail, start=n))
+    return InverseWitnessReport(
+        result, n, tuple(r.membership for r in rows),
+        tuple(r.position_length for r in rows)), rows
 
 
 WITNESS_CASES = [(G.ZPower(2), 4), (G.Free(2), 3), (G.Free(5), 3),
@@ -327,7 +359,8 @@ def test_witness_report_matches_full_inversion(descriptor, radius, cap):
             1, 8 if cap == "max_elements" else 100))} if cap else {}
         budget = ClosureBudget(radius, **caps)
         report = inverse_witness_report(trace, n, budget)
-        assert report == full_inversion_report(trace, n, budget)
+        expected, rows = full_inversion_report(trace, n, budget)
+        assert report == expected and report.rows == rows
         exhausted.add(report.closure_result.exhausted)
         outside.update(r.position_length is None for r in report.rows)
 

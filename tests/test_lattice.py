@@ -374,6 +374,15 @@ def test_large_sets_match_separator_enumeration():
             for d, points in [(4, 36)] * 4 + [(3, 140)] * 4]
     sets += [[tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(20)]
              for _ in range(4)]
+    # First, 24 Z^4 walk positions shifted by e_1, in a half-space. Some
+    # ray pairs that a vector separates have two common zero vectors but
+    # are not adjacent, so the double description combines them unless its
+    # adjacency test also asks that no third ray's zero set hold the common
+    # zeros: without that check, or without the whole test, the normal
+    # differs here, before the sets above, on which a copy without the
+    # whole test runs for seconds.
+    sets.insert(0, [(x + 1, *rest)
+                    for x, *rest in _walk_positions(4, 24, random.Random(151))])
     kinds = set()
     for vecs in sets:
         d = len(vecs[0])

@@ -5,7 +5,6 @@ import pytest
 from algrec import groups as G
 from algrec.closure import ClosureBudget, closure, coverage_fraction
 from algrec.measures import (
-    first_asymmetric_atom,
     heavy_tail_measure_z2,
     make_measure,
     uniform_standard_measure,
@@ -56,7 +55,7 @@ def test_heavy_tail_quadratic_profile():
 def test_heavy_tail_always_symmetric():
     for alpha, cutoff in [(1.3, 3), (2, 5), (3.7, 2)]:
         mu = heavy_tail_measure_z2(alpha, cutoff, Fraction(1, 7))
-        assert first_asymmetric_atom(mu) is None
+        assert mu.first_asymmetric_atom is None
         assert sum(w for _, w in mu.atoms) == 1
 
 
@@ -67,7 +66,7 @@ def test_heavy_tail_rejects_bad_alpha():
 
 def test_validate_uniform_free2():
     mu = uniform_standard_measure(G.Free(2))
-    assert first_asymmetric_atom(mu) is None
+    assert mu.first_asymmetric_atom is None
     assert support_coverage(mu, 2) == 1
 
 
@@ -75,14 +74,14 @@ def test_validate_flags_asymmetric_atom():
     z = G.ZPower(1)
     mu = make_measure(z, [(G.make_element(z, (1,)), Fraction(2, 3)),
                           (G.make_element(z, (-1,)), Fraction(1, 3))])
-    assert first_asymmetric_atom(mu).payload in ((1,), (-1,))
+    assert mu.first_asymmetric_atom.payload in ((1,), (-1,))
 
 
 def test_validate_even_support_misses_ball():
     z = G.ZPower(1)
     mu = make_measure(z, [(G.make_element(z, (2,)), Fraction(1, 2)),
                           (G.make_element(z, (-2,)), Fraction(1, 2))])
-    assert first_asymmetric_atom(mu) is None
+    assert mu.first_asymmetric_atom is None
     result = closure(mu.support, ClosureBudget(radius=3))
     assert result.exhausted
     assert {g.payload[0] for g in result.elements} == {-2, 0, 2}
@@ -112,7 +111,7 @@ def test_make_measure_merges_duplicates():
 @pytest.mark.parametrize("descriptor", SMALL_DESCRIPTORS, ids=str)
 def test_uniform_measures_validate(descriptor):
     mu = uniform_standard_measure(descriptor)
-    assert first_asymmetric_atom(mu) is None
+    assert mu.first_asymmetric_atom is None
     assert support_coverage(mu, 2) == 1
 
 

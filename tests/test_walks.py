@@ -191,11 +191,32 @@ def test_trie_positions_match_running_products(name, data):
     check_positions(desc, [G.make_element(desc, w) for w in words], data)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([G.ZPower(2), G.Free(3), G.Heisenberg(),
-                        G.LamplighterZ(), G.CyclicZ(12)]), st.data())
+#: Step payloads beyond the standard generators, so that every walk kernel
+#: meets steps that are not generators: Z^d vectors, Heisenberg steps with
+#: c != 0 and |a|, |b| > 1, lamplighter steps with several and negative
+#: lamps, and every residue of Z/12.
+DRAWN_STEPS = {
+    G.ZPower(2): st.tuples(*[st.integers(-3, 3)] * 2),
+    G.ZPower(3): st.tuples(*[st.integers(-3, 3)] * 3),
+    G.Heisenberg(): st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                              st.integers(-6, 6)),
+    G.LamplighterZ(): st.tuples(st.integers(-3, 3),
+                                st.sets(st.integers(-4, 4), max_size=5)),
+    G.CyclicZ(12): st.integers(0, 11),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([G.Free(3), *DRAWN_STEPS]), st.data())
 def test_positions_match_running_products(descriptor, data):
-    check_positions(descriptor, G.standard_generators(descriptor), data)
+    """Positions from the standard generators and, outside F_d, from drawn
+    steps as well."""
+    steps = DRAWN_STEPS.get(descriptor)
+    drawn = [] if steps is None else data.draw(
+        st.lists(steps, min_size=1, max_size=4))
+    check_positions(descriptor, [
+        *G.standard_generators(descriptor),
+        *(G.make_element(descriptor, p) for p in drawn)], data)
 
 
 @pytest.mark.parametrize("name,seed", [("F2 letters", 1), ("F2 pairs", 2),
