@@ -3,7 +3,10 @@
 Subcommands: walk, closure, ar-estimate, lattice-classify, free-stats,
 nilpotent-check, witness-check. Every command is deterministic in its
 config and seeds; data files are byte-identical across re-runs, and wall
-clock times live only in the manifest.
+clock times live only in the manifest. Every seeded subcommand (walk,
+closure, ar-estimate, free-stats) runs one function per seed through
+``_run_seeds``, which fans the seeds out over ``--threads`` workers and
+times each seed in the manifest as ``seed<n>``.
 
 Exit codes: 0 success, 2 configuration error, 3 budget exhausted without a
 mandatory result.
@@ -151,11 +154,15 @@ def cmd_ar_estimate(args) -> int:
     meta, out_dir, manifest = _open_output(config, "ar-estimate", config.seeds)
     budget = _budget(config)
     radius = config.effective_coverage_radius()
-    start = time.perf_counter()
-    rows = experiments.coverage_survey(
-        measure, config.steps, config.effective_eval_steps(),
-        config.tail_index, budget, radius, config.seeds, args.threads)
-    elapsed = time.perf_counter() - start
+    eval_steps = config.effective_eval_steps()
+
+    def one(seed: int):
+        return (), experiments.coverage_survey(
+            measure, config.steps, eval_steps, config.tail_index, budget,
+            radius, seed)
+
+    per_seed = _run_seeds(one, config.seeds, args.threads, manifest)
+    rows = [row for seed_rows in per_seed for row in seed_rows]
     path = out_dir / "ar_coverage.csv"
     write_csv(path, {**meta, "group": config.group, "radius": radius},
               ["seed", "n_used", "coverage", "present_fraction",
@@ -163,7 +170,6 @@ def cmd_ar_estimate(args) -> int:
               [[r.seed, r.n_used, str(r.coverage), str(r.present_fraction),
                 str(r.present_fraction_decided), r.exhausted] for r in rows])
     manifest.add_file(path)
-    manifest.record_time("survey", elapsed)
     manifest.write(out_dir)
     by_n: dict[int, list[Fraction]] = {}
     for r in rows:
@@ -240,9 +246,9 @@ def cmd_free_stats(args) -> int:
         write_csv(vj_path, meta, ["j", "v_j", "log2_j"],
                   [[j, stats.count(j), f"{np.log2(j):.6f}"]
                    for j in sorted(stats.counts)])
-        result = experiments.tail_closure(measure, config.steps,
-                                          config.tail_index, budget, seed)
-        profile = freestats.sphere_growth_profile(result)
+        trace = generate_walk(measure, config.steps, seed)
+        report = inverse_witness_report(trace, config.tail_index, budget)
+        profile = freestats.sphere_growth_profile(report.closure_result)
         growth_path = out_dir / f"growth_seed{seed}.csv"
         write_csv(growth_path, {**meta, "slope": f"{profile.slope:.6f}",
                                 "ambient_slope": f"{profile.ambient_slope:.6f}"},

@@ -1,8 +1,10 @@
 """Budget-bounded semigroup closure and inverse-witness reports.
 
-A witness report keeps its rows as columns, the memberships and the word
-lengths, and builds row tuples only when ``rows`` is read; a survey only
-tallies the memberships.
+``inverse_witness_report`` is the one path from a walk to its tail's
+closure: the CLI's closure, ar-estimate and free-stats commands all close
+a seed's tail through it. A witness report keeps its rows as columns, the
+memberships and the word lengths, and builds row tuples only when ``rows``
+is read; a survey only tallies the memberships.
 
 The closure saturates pairwise products: every member x is paired with the
 members present when x is popped, on both sides, and products are kept while
@@ -95,7 +97,7 @@ from .groups import (
     word_length_within,
 )
 from .manifest import metadata_lines
-from .walks import Positions, WalkTrace
+from .walks import WalkTrace
 
 #: Largest ball, in elements, whose products the store memoises.
 _MEMO_MAX_BALL = 512
@@ -368,41 +370,30 @@ class InverseWitnessReport:
         return Fraction(self.present, decided) if decided else Fraction(0)
 
 
-def tail_within(tail: Positions, radius: int
-                ) -> tuple[list[int | None], list[GroupElement]]:
-    """Each tail position's word length if it is <= radius, else None, and
-    the closure generators: the distinct in-ball positions in first-seen
-    order, or the first position when none is in the ball (the closure then
-    seeds nothing).
-
-    Lengths come from the positions' ``lengths()``, and only the distinct
-    in-ball positions are built as elements.
-    """
-    lengths = [n if n <= radius else None for n in tail.lengths()]
-    payload, desc = tail.payload, tail.descriptor
-    inside = dict.fromkeys(payload(i) for i, n in enumerate(lengths)
-                           if n is not None)
-    return lengths, [GroupElement(desc, p) for p in inside] or list(tail[:1])
-
-
 def inverse_witness_report(trace: WalkTrace, n: int,
                            budget: ClosureBudget) -> InverseWitnessReport:
     """Close the tail {X_n..X_N} and test each X_i^-1 for membership.
 
-    Word length is invariant under inversion in every family, so a position
-    outside the radius has its inverse outside it too: neither in the
-    closure nor decidable within the ball, that row is Unknown. Lengths come
-    from the positions' ``lengths()``, and each distinct in-ball position is
-    decided once, by ``contains``; its other rows reuse that verdict.
+    The closure's generators are the distinct in-ball tail positions in
+    first-seen order, or the first position when none is in the ball (the
+    closure then seeds nothing). Word length is invariant under inversion in
+    every family, so a position outside the radius has its inverse outside
+    it too: neither in the closure nor decidable within the ball, that row
+    is Unknown. Lengths come from the positions' ``lengths()``, only the
+    distinct in-ball positions are built as elements, and each is decided
+    once, by ``contains``; its other rows reuse that verdict.
     """
     if not 1 <= n <= len(trace):
         raise ValueError(f"tail index {n} outside 1..{len(trace)}")
     tail = trace.positions[n - 1:]
-    lengths, generators = tail_within(tail, budget.radius)
+    lengths = [k if k <= budget.radius else None for k in tail.lengths()]
+    payload, desc = tail.payload, tail.descriptor
+    inside = dict.fromkeys(payload(i) for i, k in enumerate(lengths)
+                           if k is not None)
+    generators = [GroupElement(desc, p) for p in inside] or list(tail[:1])
     result = closure(generators, budget, generator_range=(n, len(trace)))
-    # The generators are the distinct in-ball positions (or one outside).
     verdicts = {g.payload: contains(result, invert(g)) for g in generators}
-    payload, unknown = tail.payload, Membership.UNKNOWN
+    unknown = Membership.UNKNOWN
     members = [unknown if length is None else verdicts[payload(i)]
                for i, length in enumerate(lengths)]
     return InverseWitnessReport(result, n, tuple(members), tuple(lengths))

@@ -1,6 +1,8 @@
-"""Reusable seeded experiment routines shared by the CLI and the acceptance
-suite. Every routine is deterministic in its arguments, and seed fan-out
-returns results in seed order."""
+"""Seeded experiment routines shared by the CLI and the acceptance suite:
+the seed fan-out, ``map_seeds``, and one seed's coverage survey. Every
+routine is deterministic in its arguments, and the fan-out returns results
+in seed order; the CLI fans every seeded subcommand out, and times each
+seed, through ``cli._run_seeds``."""
 
 from __future__ import annotations
 
@@ -8,13 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .closure import (
-    ClosureBudget,
-    closure,
-    coverage_fraction,
-    inverse_witness_report,
-    tail_within,
-)
+from .closure import ClosureBudget, coverage_fraction, inverse_witness_report
 from .measures import SymmetricMeasure
 from .walks import WalkTrace, generate_walk
 
@@ -71,11 +67,12 @@ class CoverageRow:
     exhausted: bool
 
 
-def coverage_rows(measure: SymmetricMeasure, n_steps: int,
-                  eval_steps: Sequence[int], tail_index: int,
-                  budget: ClosureBudget, coverage_radius: int,
-                  seed: int) -> list[CoverageRow]:
-    """Walk once, then close and score each requested prefix of the trace."""
+def coverage_survey(measure: SymmetricMeasure, n_steps: int,
+                    eval_steps: Sequence[int], tail_index: int,
+                    budget: ClosureBudget, coverage_radius: int,
+                    seed: int) -> list[CoverageRow]:
+    """One seed's survey: walk once, then close and score each requested
+    prefix of the trace."""
     trace = generate_walk(measure, n_steps, seed)
     rows = []
     for n_used in eval_steps:
@@ -90,29 +87,6 @@ def coverage_rows(measure: SymmetricMeasure, n_steps: int,
                                 report.present_fraction_decided,
                                 report.closure_result.exhausted))
     return rows
-
-
-def coverage_survey(measure: SymmetricMeasure, n_steps: int,
-                    eval_steps: Sequence[int], tail_index: int,
-                    budget: ClosureBudget, coverage_radius: int,
-                    seeds: Sequence[int],
-                    threads: int = 1) -> list[CoverageRow]:
-    """coverage_rows across a seed list, flattened in seed order."""
-    nested = map_seeds(
-        lambda s: coverage_rows(measure, n_steps, eval_steps, tail_index,
-                                budget, coverage_radius, s),
-        seeds, threads)
-    return [row for rows in nested for row in rows]
-
-
-def tail_closure(measure: SymmetricMeasure, n_steps: int, tail_index: int,
-                 budget: ClosureBudget, seed: int):
-    """The truncated closure of {X_n .. X_N} for one seeded walk."""
-    trace = generate_walk(measure, n_steps, seed)
-    if not 1 <= tail_index <= n_steps:
-        raise ValueError(f"tail index {tail_index} outside 1..{n_steps}")
-    _, generators = tail_within(trace.positions[tail_index - 1:], budget.radius)
-    return closure(generators, budget, generator_range=(tail_index, n_steps))
 
 
 def mean_fraction(values: Iterable[Fraction]) -> Fraction:

@@ -35,9 +35,10 @@ class GroupDescriptor:
     Subclasses define ``identity_payload``, ``generator_payloads``,
     ``canonicalize``, ``mul``, ``inv``, ``length`` (the word length, in
     closed form), ``ball_size``, ``abelian_image``, ``format`` and
-    ``parse``. Every family but F_d also defines ``walk(steps)``, the
-    running products of a list of step payloads and their word lengths, as
-    two lists, by a loop on ints that builds only the payloads it returns.
+    ``parse``. ``walk(steps)`` is the list of running products of a list of
+    step payloads, by default an ``accumulate`` over ``mul``; the Heisenberg
+    group and the lamplighter override it with a loop on ints that builds
+    only the payloads it returns. F_d walks on a prefix trie instead.
     ``abelian_image(payload)`` is the homomorphism onto Z^k, the
     free part of the abelianisation, as a tuple of k ints: the identity on
     Z^d, the letter exponent sums on F_d, (a, b) on the Heisenberg group,
@@ -58,6 +59,9 @@ class GroupDescriptor:
     def __str__(self) -> str:
         params = ",".join(str(getattr(self, f.name)) for f in fields(self))
         return f"{self.kind}({params})" if params else self.kind
+
+    def walk(self, steps: list) -> list:
+        return list(accumulate(steps, self.mul))
 
 
 @dataclass(frozen=True)
@@ -83,10 +87,6 @@ class ZPower(GroupDescriptor):
 
     def mul(self, p: tuple, q: tuple) -> tuple[int, ...]:
         return tuple(map(add, p, q))
-
-    def walk(self, steps: list) -> tuple[list, list[int]]:
-        payloads = list(accumulate(steps, self.mul))
-        return payloads, list(map(self.length, payloads))
 
     def inv(self, p: tuple) -> tuple[int, ...]:
         return tuple(-x for x in p)
@@ -246,7 +246,7 @@ class Heisenberg(GroupDescriptor):
         a1, b1, c1 = p
         return (-a1, -b1, a1 * b1 - c1)
 
-    def walk(self, steps: list) -> tuple[list, list[int]]:
+    def walk(self, steps: list) -> list:
         a = b = c = 0
         payloads = []
         for da, db, dc in steps:
@@ -254,7 +254,7 @@ class Heisenberg(GroupDescriptor):
             a += da
             b += db
             payloads.append((a, b, c))
-        return payloads, list(map(self.length, payloads))
+        return payloads
 
     def length(self, p: tuple) -> int:
         """Blachère's closed form (Colloq. Math. 2003) on 0 <= a <= b, c >= 0.
@@ -329,7 +329,7 @@ class LamplighterZ(GroupDescriptor):
         x, f = p
         return (-x, tuple(sorted(s - x for s in f)))
 
-    def walk(self, steps: list) -> tuple[list, list[int]]:
+    def walk(self, steps: list) -> list:
         """The lit lamps stay one sorted list; a step toggles its lamps,
         shifted by the current position, in place by bisection."""
         x, lit, payloads = 0, [], []
@@ -343,7 +343,7 @@ class LamplighterZ(GroupDescriptor):
                     lit.insert(i, s)
             x += y
             payloads.append((x, tuple(lit)))
-        return payloads, list(map(self.length, payloads))
+        return payloads
 
     def length(self, p: tuple) -> int:
         """Lit lamps plus the shortest tour from 0 over the lamps that ends at
@@ -403,11 +403,6 @@ class CyclicZ(GroupDescriptor):
 
     def inv(self, p: int) -> int:
         return (-p) % self.modulus
-
-    def walk(self, steps: list) -> tuple[list[int], list[int]]:
-        m = self.modulus
-        payloads = [p % m for p in accumulate(steps)]
-        return payloads, list(map(self.length, payloads))
 
     @property
     def generator_payloads(self) -> tuple[int, int]:

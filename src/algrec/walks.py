@@ -172,8 +172,8 @@ class PayloadPositions(Positions):
                                 self._lengths[index])
 
     def lengths(self) -> list[int]:
-        """Word length of each position, as the walk kernel computed it;
-        the list is shared, not copied."""
+        """Word length of each position, as the trace computed it; the list
+        is shared, not copied."""
         return self._lengths
 
     def texts(self):
@@ -283,7 +283,8 @@ def generate_walk(measure: SymmetricMeasure, n_steps: int,
 def trace_from_increments(descriptor: GroupDescriptor, seed: int,
                           increments) -> WalkTrace:
     """The trace whose increments are given, with their running products:
-    trie nodes on F_d, else the family's walk kernel on the payloads."""
+    trie nodes on F_d, else the family's walk kernel on the payloads, with
+    each position's word length computed once by ``descriptor.length``."""
     increments = tuple(increments)
     if any(z.descriptor is not descriptor and z.descriptor != descriptor
            for z in increments):
@@ -297,8 +298,9 @@ def trace_from_increments(descriptor: GroupDescriptor, seed: int,
             ids.append(node)
         positions = TriePositions(descriptor, trie, ids)
     else:
-        positions = PayloadPositions(descriptor, *descriptor.walk(
-            [z.payload for z in increments]))
+        payloads = descriptor.walk([z.payload for z in increments])
+        positions = PayloadPositions(descriptor, payloads,
+                                     list(map(descriptor.length, payloads)))
     return WalkTrace(descriptor, seed, increments, positions)
 
 

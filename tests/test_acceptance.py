@@ -169,26 +169,31 @@ def test_criterion_5_closure_oracle_equivalence():
 
 def test_criterion_6_ar_direction_statistics():
     start = time.perf_counter()
-    seeds = ACCEPTANCE_SEEDS
+
+    def survey(measure, n_steps, eval_steps, radius):
+        return [row for seed in ACCEPTANCE_SEEDS
+                for row in coverage_survey(measure, n_steps, eval_steps, 1,
+                                           ClosureBudget(radius=radius),
+                                           radius, seed)]
 
     mu12 = uniform_standard_measure(G.CyclicZ(12))
-    rows = coverage_survey(mu12, 500, (500,), 1, ClosureBudget(radius=6), 6, seeds)
+    rows = survey(mu12, 500, (500,), 6)
     full_count = sum(1 for r in rows if r.coverage == 1)
     ok_a = full_count >= 99
 
     mu_z = uniform_standard_measure(G.ZPower(1))
-    rows = coverage_survey(mu_z, 200, (20, 200), 1, ClosureBudget(radius=5), 5, seeds)
+    rows = survey(mu_z, 200, (20, 200), 5)
     mean_20 = mean_fraction(r.coverage for r in rows if r.n_used == 20)
     mean_200 = mean_fraction(r.coverage for r in rows if r.n_used == 200)
     ok_b = mean_200 > mean_20
 
     mu_f5 = uniform_standard_measure(G.Free(5))
-    rows = coverage_survey(mu_f5, 200, (200,), 1, ClosureBudget(radius=4), 4, seeds)
+    rows = survey(mu_f5, 200, (200,), 4)
     below_count = sum(1 for r in rows if r.coverage < 1)
     ok_c = below_count >= 90
 
     mu_h = uniform_standard_measure(G.Heisenberg())
-    rows = coverage_survey(mu_h, 500, (50, 500), 1, ClosureBudget(radius=4), 4, seeds)
+    rows = survey(mu_h, 500, (50, 500), 4)
     present_50 = mean_fraction(r.present_fraction_decided for r in rows
                                if r.n_used == 50)
     present_500 = mean_fraction(r.present_fraction_decided for r in rows

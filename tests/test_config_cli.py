@@ -457,7 +457,8 @@ def test_experiment_configs_load(path):
 
 
 def test_threads_flag(tmp_path, monkeypatch, capsys):
-    """Each walking command hands --threads and its seeds to the one fan-out."""
+    """Each walking command hands --threads and its seeds to the one fan-out,
+    and its manifest times each seed once, as seed<n>, and nothing else."""
     seen = []
     real = experiments.map_seeds
 
@@ -466,16 +467,20 @@ def test_threads_flag(tmp_path, monkeypatch, capsys):
         return real(fn, seeds, threads)
 
     monkeypatch.setattr(experiments, "map_seeds", spy)
-    cfg = write_config(tmp_path, WALK_CFG)
-    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
-    assert main(["closure", "--config", write_config(tmp_path, AR_CFG),
-                 "--out", str(tmp_path / "b"), "--threads", "2"]) == 0
-    assert main(["ar-estimate", "--config", write_config(tmp_path, AR_CFG),
-                 "--out", str(tmp_path / "c"), "--threads", "3"]) == 0
-    assert seen == [(1, (1, 2)), (2, (1, 2, 3)), (3, (1, 2, 3))]
+    for command, text, threads in [("walk", WALK_CFG, "1"),
+                                   ("closure", AR_CFG, "2"),
+                                   ("ar-estimate", AR_CFG, "3"),
+                                   ("free-stats", FREE_CFG, "1")]:
+        out = tmp_path / command
+        assert main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(out), "--threads", threads,
+                     "--seed", "4", "--seed", "5"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["wall_clock_seconds"]) == ["seed4", "seed5"]
+    assert seen == [(1, (4, 5)), (2, (4, 5)), (3, (4, 5)), (1, (4, 5))]
     out = tmp_path / "d"
-    assert main(["walk", "--config", cfg, "--out", str(out),
-                 "--threads", "0"]) == 2
+    assert main(["walk", "--config", write_config(tmp_path, WALK_CFG),
+                 "--out", str(out), "--threads", "0"]) == 2
     assert "config error: --threads: must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 

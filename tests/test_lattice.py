@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from algrec.lattice import (
     _check_normal,
     _column_echelon,
     _conic_solution,
+    _lift_normal,
     _positive_certificate,
     _span_coordinates,
     _verify_certificate,
@@ -164,6 +166,33 @@ def test_certificate_check_raises_on_a_set_that_does_not_span():
     witness = ZeroInHullWitness(((1, 0), (-1, 0)), (1, 1))
     with pytest.raises(ArithmeticError, match="does not span"):
         _verify_certificate(witness, 2)
+
+
+CROSS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+def test_certificate_check_raises_on_a_nonpositive_coefficient():
+    witness = zero_in_convex_hull(CROSS)
+    _verify_certificate(witness, 2)
+    tampered = replace(witness, coefficients=(0, *witness.coefficients[1:]))
+    with pytest.raises(ArithmeticError, match="nonpositive coefficient"):
+        _verify_certificate(tampered, 2)
+
+
+def test_certificate_check_raises_on_a_combination_off_zero():
+    witness = zero_in_convex_hull(CROSS)
+    t0, *rest = witness.coefficients
+    tampered = replace(witness, coefficients=(t0 + 1, *rest))
+    with pytest.raises(ArithmeticError, match="does not sum to zero"):
+        _verify_certificate(tampered, 2)
+
+
+def test_lift_raises_on_a_dependent_basis():
+    basis, _ = _span_coordinates([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    assert _lift_normal(basis, (1, 1)) == (1, 1, 0)
+    dependent = [basis[0], tuple(2 * x for x in basis[0])]
+    with pytest.raises(ArithmeticError, match="Gram matrix of a basis is singular"):
+        _lift_normal(dependent, (1, 1))
 
 
 def test_normal_check_raises_on_a_vector_below_or_a_zero_normal():

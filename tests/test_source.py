@@ -74,6 +74,13 @@ def test_only_walks_and_freestats_know_the_trie_positions():
     assert found == ["walks.py"]
 
 
+def test_only_experiments_and_cli_know_the_seed_fan_out():
+    # experiments.py defines map_seeds and cli._run_seeds is its one caller,
+    # so every seeded subcommand fans out and times its seeds the same way.
+    found = [path.name for path in SOURCES if "map_seeds" in path.read_text()]
+    assert found == ["cli.py", "experiments.py"]
+
+
 def test_only_groups_names_a_family_by_its_kind():
     # Family membership is tested by class (isinstance), so no module other
     # than groups.py spells a family's kind string.
