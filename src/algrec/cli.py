@@ -48,7 +48,7 @@ from .identities import (
 from .lattice import classify_subsemigroup
 from .manifest import RunManifest, write_csv
 from .measures import SymmetricMeasure
-from .walks import generate_walk, write_positions_csv, write_trace
+from .walks import generate_walk, seeded_rng, write_positions_csv, write_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -240,13 +240,12 @@ def cmd_free_stats(args) -> int:
     budget = _budget(config)
 
     def one(seed: int):
-        stats = freestats.walk_prefix_stats(d, config.steps, seed, j0=config.j0,
-                                            measure=measure)
+        trace = generate_walk(measure, config.steps, seed)
+        stats = freestats.walk_prefix_stats(trace, j0=config.j0)
         vj_path = out_dir / f"prefix_vj_seed{seed}.csv"
         write_csv(vj_path, meta, ["j", "v_j", "log2_j"],
                   [[j, stats.count(j), f"{np.log2(j):.6f}"]
                    for j in sorted(stats.counts)])
-        trace = generate_walk(measure, config.steps, seed)
         report = inverse_witness_report(trace, config.tail_index, budget)
         profile = freestats.sphere_growth_profile(report.closure_result)
         growth_path = out_dir / f"growth_seed{seed}.csv"
@@ -264,10 +263,9 @@ def cmd_free_stats(args) -> int:
     exact_p = freestats.return_probability(d)
     estimate = freestats.return_excursion_estimate(d, config.excursions,
                                                    config.seeds[0])
-    pool_rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([config.seeds[0], 1])))
     pool = freestats.random_reduced_words(d, config.pool_length,
-                                          config.pool_size, pool_rng)
+                                          config.pool_size,
+                                          seeded_rng([config.seeds[0], 1]))
     sample = freestats.cancellation_experiment(
         d, config.trials, [tuple(int(x) for x in w) for w in pool],
         config.seeds[0], lengths=config.lengths)

@@ -215,25 +215,32 @@ def validate_config(config: ScenarioConfig) -> None:
 
 def build_measure(config: ScenarioConfig) -> SymmetricMeasure:
     """The config's step measure; ConfigError, naming the field, when the
-    measure settings do not give a symmetric measure on the group."""
+    measure settings do not give a symmetric measure on the group whose
+    weights fit the 64-bit sampling table."""
     if config.measure_kind == "standard":
         return uniform_standard_measure(config.group)
     if config.measure_kind == "heavy-tail":
         if config.group != ZPower(2):
             raise ConfigError("measure.kind",
                               "heavy-tail measure requires group ZPower(2)")
-        if config.heavy_alpha <= 1:
-            raise ConfigError("measure.alpha",
-                              "must be > 1 for a heavy-tail measure")
-        return heavy_tail_measure_z2(float(config.heavy_alpha),
-                                     config.heavy_cutoff,
-                                     config.heavy_minor_weight)
+        if not 0 < config.heavy_minor_weight < 1:
+            raise ConfigError("measure.minor_weight", "must lie strictly "
+                              "between 0 and 1 for a heavy-tail measure")
+        try:
+            measure = heavy_tail_measure_z2(float(config.heavy_alpha),
+                                            config.heavy_cutoff,
+                                            config.heavy_minor_weight)
+            measure.sampling_thresholds  # raises if a weight is too small
+        except ValueError as exc:
+            raise ConfigError("measure.alpha", str(exc)) from None
+        return measure
     if not config.explicit_atoms:
         raise ConfigError("measure.atoms", "explicit measure needs atoms")
     try:
         measure = make_measure(config.group,
                                [(parse_element(config.group, el), w)
                                 for el, w in config.explicit_atoms])
+        measure.sampling_thresholds  # raises if a weight is too small
     except ValueError as exc:
         raise ConfigError("measure.atoms", str(exc)) from None
     offending = measure.first_asymmetric_atom

@@ -1,6 +1,6 @@
-"""Statistics over free-group walks: prefix tries, the return probability
-of the biased level walk, cancellation experiments, and sphere growth
-profiles of truncated closures.
+"""Statistics over free-group walks: the prefix counts of a walk trace, the
+return probability of the biased level walk, cancellation experiments, and
+sphere growth profiles of truncated closures.
 
 Logarithms are base 2 throughout. Comparisons of integer counts against
 log2(j) are done exactly via 2**count <= j.
@@ -18,8 +18,7 @@ import numpy as np
 
 from .closure import ClosureResult
 from .groups import Free, word_length
-from .measures import SymmetricMeasure, uniform_standard_measure
-from .walks import PrefixTrie, sample_atom_indices
+from .walks import WalkTrace, seeded_rng
 
 #: Levels above the start at which an excursion counts as an escape.
 EXCURSION_CUTOFF = 64
@@ -53,21 +52,13 @@ class PrefixStats:
         return self.counts.get(j, 0)
 
 
-def walk_prefix_stats(d: int, n_steps: int, seed: int, j0: int = 64,
-                      measure: SymmetricMeasure | None = None) -> PrefixStats:
-    """Streaming prefix counts of a walk on F_d under ``measure`` (default
-    the uniform measure on the standard generators).
-
-    Uses the same seeded increment stream as generate_walk but never
-    materializes positions, so long walks and many seeds stay cheap.
-    """
-    mu = measure if measure is not None else uniform_standard_measure(Free(d))
-    words = [g.payload for g in mu.support]
-    trie = PrefixTrie(d)
-    node = 0
-    for i in sample_atom_indices(mu, n_steps, seed):
-        node = trie.mul(node, words[i])
-    return PrefixStats(d, n_steps, trie.depth_counts(range(len(trie))), j0)
+def walk_prefix_stats(trace: WalkTrace, j0: int = 64) -> PrefixStats:
+    """The distinct prefix counts V_j of a free-group trace, read off the
+    trie that holds its positions."""
+    if not isinstance(trace.descriptor, Free):
+        raise ValueError("prefix statistics need a free-group trace")
+    return PrefixStats(trace.descriptor.rank, len(trace),
+                       trace.positions.depth_counts(), j0)
 
 
 @dataclass(frozen=True)
@@ -123,7 +114,7 @@ def return_excursion_estimate(d: int, excursions: int, seed: int) -> float:
     _check_rank(d)
     if excursions < 1:
         raise ValueError("excursions must be positive")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = seeded_rng(seed)
     two_d = 2 * d
     threshold = np.uint64(round(Fraction(two_d - 1, two_d) * (1 << 64)))
     level = np.zeros(excursions, dtype=np.int8)
@@ -238,7 +229,7 @@ def cancellation_experiment(d: int, trials: int, pool: Sequence[Sequence[int]],
     inverse_codes = np.full((len(words), longest), -1, dtype=np.int16)
     for i, w in enumerate(words):
         inverse_codes[i, :len(w)] = [a - 1 + d if a > 0 else -a - 1 for a in w]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = seeded_rng(seed)
     rows = []
     for s in lengths:
         if s < 1:

@@ -430,18 +430,16 @@ class CyclicZ(GroupDescriptor):
         return r
 
 
-_DESCRIPTOR_ALIASES: dict[str, type[GroupDescriptor]] = {
-    "z": ZPower, "lamplighter": LamplighterZ, "cyclic": CyclicZ,
-    **{f.kind.lower(): f for f in (ZPower, Free, Heisenberg, LamplighterZ, CyclicZ)}}
+_FAMILIES = {f.kind: f for f in (ZPower, Free, Heisenberg, LamplighterZ, CyclicZ)}
 
 
 def parse_descriptor(text: str) -> GroupDescriptor:
-    """Parse a descriptor like ``ZPower(2)``, ``Free(5)`` or ``Heisenberg``."""
+    """Parse a descriptor as ``str`` prints it, like ``ZPower(2)``."""
     name, paren, rest = text.strip().partition("(")
     if paren and not rest.endswith(")"):
         raise ValueError(f"malformed group descriptor {text!r}")
     arg = rest[:-1].strip()
-    family = _DESCRIPTOR_ALIASES.get(name.strip().lower())
+    family = _FAMILIES.get(name.strip())
     if family is None:
         raise ValueError(f"unknown group {text!r}")
     if not fields(family):

@@ -213,6 +213,10 @@ class TriePositions(Positions):
         depth = self.trie.depth
         return [depth(node) for node in self.ids]
 
+    def depth_counts(self) -> dict[int, int]:
+        """Distinct nonempty prefixes of these positions per length."""
+        return self.trie.depth_counts(self.ids)
+
     def texts(self):
         """The text form of each position, built from the previous one's:
         truncate to the common prefix, then append the new letters."""
@@ -251,7 +255,8 @@ class WalkTrace:
         return self.positions[n - 1]
 
 
-def _rng(seed: int) -> np.random.Generator:
+def seeded_rng(seed) -> np.random.Generator:
+    """The Philox generator keyed by ``seed``, an int or a list of ints."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -263,7 +268,7 @@ def sample_atom_indices(measure: SymmetricMeasure, n_steps: int,
     if n_steps == 0:
         return np.empty(0, dtype=np.int64)
     thresholds = np.array(measure.sampling_thresholds[:-1], dtype=np.uint64)
-    draws = _rng(seed).integers(0, 1 << 64, size=n_steps, dtype=np.uint64)
+    draws = seeded_rng(seed).integers(0, 1 << 64, size=n_steps, dtype=np.uint64)
     return np.searchsorted(thresholds, draws, side="right").astype(np.int64)
 
 

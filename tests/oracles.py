@@ -18,7 +18,6 @@ from algrec.freestats import (
     EXCURSION_CUTOFF,
     CancellationSample,
     ExceedanceRow,
-    PrefixStats,
     random_reduced_words,
 )
 from algrec.groups import (
@@ -32,7 +31,7 @@ from algrec.groups import (
     parse_element,
     word_length_within,
 )
-from algrec.walks import TriePositions, WalkTrace, trace_from_increments
+from algrec.walks import WalkTrace, trace_from_increments
 
 # ---------------------------------------------------------------------------
 # Heisenberg via 3x3 upper-unitriangular integer matrices
@@ -415,16 +414,6 @@ def read_trace(path) -> WalkTrace:
         raise ValueError(f"{path}: header says {steps} steps, found {len(body)}")
     increments = [parse_element(descriptor, line) for line in body]
     return trace_from_increments(descriptor, seed, increments)
-
-
-def prefix_counts(trace, j0: int = 64) -> PrefixStats:
-    """Exact distinct-prefix counts per depth for a free-group trace, read
-    off the trie that holds its positions."""
-    positions = trace.positions
-    if not isinstance(positions, TriePositions):
-        raise ValueError("prefix statistics need a free-group trace")
-    return PrefixStats(trace.descriptor.rank, len(trace),
-                       positions.trie.depth_counts(positions.ids), j0)
 
 
 def quadratic_prefix_counts(trace) -> dict[int, int]:

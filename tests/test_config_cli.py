@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from algrec import closure, experiments, groups as G
+from algrec import closure, experiments, groups as G, walks
 from algrec.cli import main
 from algrec.config import (
     ConfigError,
@@ -19,8 +19,8 @@ from algrec.config import (
     load_config,
     parse_config,
 )
+from algrec.freestats import walk_prefix_stats
 from algrec.walks import generate_walk
-from oracles import prefix_counts
 
 
 def test_config_roundtrip_canonical():
@@ -365,22 +365,32 @@ def test_cli_free_stats_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_cli_free_stats_uses_configured_measure(tmp_path):
-    """V_j and max_depth come from the configured walk, not the uniform one."""
+def test_cli_free_stats_uses_configured_measure(tmp_path, monkeypatch):
+    """V_j and max_depth come from the configured walk, not the uniform one,
+    and each seed's walk is sampled once, for its counts and its closure."""
     cfg = write_config(tmp_path, FREE_CFG.replace("Free(5)", "Free(2)").replace(
         "[walk]", "[measure]\nkind = explicit\n"
         "atoms = x1 x2:1/4 | X2 X1:1/4 | x2:1/4 | X2:1/4\n\n[walk]")
         .replace("steps = 400", "steps = 300"))
+    stats = walk_prefix_stats(
+        generate_walk(build_measure(load_config(cfg)), 300, seed=4))
+    sampled = []
+    sample = walks.sample_atom_indices
+
+    def spy(measure, n_steps, seed):
+        sampled.append(seed)
+        return sample(measure, n_steps, seed)
+
+    monkeypatch.setattr(walks, "sample_atom_indices", spy)
     out = tmp_path / "out"
     assert main(["free-stats", "--config", cfg, "--out", str(out),
-                 "--seed", "4"]) == 0
-    stats = prefix_counts(
-        generate_walk(build_measure(load_config(cfg)), 300, seed=4))
+                 "--seed", "4", "--seed", "5"]) == 0
+    assert sampled == [4, 5]
     rows = [l.split(",") for l in (out / "prefix_vj_seed4.csv").read_text()
             .splitlines() if l and not l.startswith("#")][1:]
     assert {int(j): int(v) for j, v, _ in rows} == stats.counts
-    summary = (out / "free_summary.csv").read_text().splitlines()[-1]
-    assert summary.split(",")[:2] == ["4", str(stats.max_depth)]
+    summary = (out / "free_summary.csv").read_text().splitlines()
+    assert summary[-2].split(",")[:2] == ["4", str(stats.max_depth)]
     assert stats.max_depth == 161
 
 
@@ -593,6 +603,12 @@ ASYMMETRIC_Z = "[measure]\nkind = explicit\natoms = (1):2/3 | (-1):1/3\n"
 ASYMMETRIC_F2 = ("[group]\nkind = Free(2)\n[measure]\nkind = explicit\n"
                  "atoms = x1:1/2 | X1:1/4 | x2:1/8 | X2:1/8\n")
 HEAVY_TAIL_Z2 = "[group]\nkind = ZPower(2)\n[measure]\nkind = heavy-tail\n"
+#: Symmetric weights on Z that sum to 1, two of them 2**-70: below the
+#: resolution of the 64-bit sampling table.
+TINY = Fraction(1, 2 ** 70)
+TINY_WEIGHTS_Z = ("[measure]\nkind = explicit\natoms = "
+                  f"(1):{Fraction(1, 2) - TINY} | (-1):{Fraction(1, 2) - TINY}"
+                  f" | (2):{TINY} | (-2):{TINY}\n")
 
 
 @pytest.mark.parametrize("command, text, path", [
@@ -620,12 +636,20 @@ HEAVY_TAIL_Z2 = "[group]\nkind = ZPower(2)\n[measure]\nkind = heavy-tail\n"
      "measure.atoms"),
     ("walk", "[measure]\nkind = explicit\natoms = x1:1/2 | X1:1/2\n",
      "measure.atoms"),
+    ("walk", HEAVY_TAIL_Z2 + "alpha = 40\n", "measure.alpha"),
+    ("walk", TINY_WEIGHTS_Z, "measure.atoms"),
+    ("walk", HEAVY_TAIL_Z2 + "alpha = 45/2\n", "measure.alpha"),
+    ("walk", HEAVY_TAIL_Z2 + "minor_weight = 2\n", "measure.minor_weight"),
+    ("walk", "[group]\nkind = z(2)\n", "group.kind"),
 ], ids=["k_min-above-k_max", "n_max", "seeds", "pool_size", "max_k",
         "closure-no-steps", "ar-estimate-no-steps", "free-stats-no-steps",
         "heavy-tail-alpha", "heavy-tail-z1", "free-stats-z2",
         "walk-asymmetric", "closure-asymmetric", "ar-estimate-asymmetric",
         "free-stats-asymmetric", "torsion-no-x-y", "torsion-unparsed-y",
-        "z-integer-not-integer", "explicit-weights-sum", "explicit-unparsed-atom"])
+        "z-integer-not-integer", "explicit-weights-sum", "explicit-unparsed-atom",
+        "heavy-tail-weight-below-table", "explicit-weight-below-table",
+        "heavy-tail-weight-rounds-to-zero", "heavy-tail-minor-weight",
+        "group-alias"])
 def test_cli_invalid_setting_fails_before_writing(tmp_path, capsys, command,
                                                   text, path):
     out = tmp_path / "out"

@@ -29,7 +29,6 @@ from conftest import child_output
 from oracles import (
     cancel,
     full_array_excursion_estimate,
-    prefix_counts,
     quadratic_prefix_counts,
     whole_array_cancellation_experiment,
 )
@@ -45,14 +44,14 @@ def f_el(d, letters):
 def test_prefix_counts_nested():
     f2 = G.Free(2)
     trace = trace_from_increments(f2, 0, [f_el(2, [1]), f_el(2, [2])])
-    stats = prefix_counts(trace)
+    stats = walk_prefix_stats(trace)
     assert stats.counts == {1: 1, 2: 1}
 
 
 def test_prefix_counts_two_branches():
     f2 = G.Free(2)
     trace = trace_from_increments(f2, 0, [f_el(2, [1]), f_el(2, [-1, 2])])
-    stats = prefix_counts(trace)
+    stats = walk_prefix_stats(trace)
     assert stats.counts == {1: 2}
 
 
@@ -60,7 +59,7 @@ def test_prefix_counts_multiletter_increment():
     # A single jump by a two-letter word still contributes both prefixes.
     f2 = G.Free(2)
     trace = trace_from_increments(f2, 0, [f_el(2, [2, 1])])
-    stats = prefix_counts(trace)
+    stats = walk_prefix_stats(trace)
     assert stats.counts == {1: 1, 2: 1}
 
 
@@ -68,22 +67,16 @@ def test_prefix_counts_requires_free_group():
     z = G.ZPower(1)
     trace = trace_from_increments(z, 0, [G.make_element(z, (1,))])
     with pytest.raises(ValueError):
-        prefix_counts(trace)
+        walk_prefix_stats(trace)
 
 
 @pytest.mark.parametrize("d,seed", [(2, 1), (2, 2), (5, 1), (5, 9)])
 def test_prefix_counts_match_quadratic_recount(d, seed):
     mu = uniform_standard_measure(G.Free(d))
     trace = generate_walk(mu, 1000, seed=seed)
-    stats = prefix_counts(trace)
+    stats = walk_prefix_stats(trace, j0=7)
     assert stats.counts == quadratic_prefix_counts(trace)
-
-
-def test_streaming_equals_trace_based():
-    for seed in (1, 5, 11):
-        mu = uniform_standard_measure(G.Free(5))
-        trace = generate_walk(mu, 800, seed=seed)
-        assert walk_prefix_stats(5, 800, seed).counts == prefix_counts(trace).counts
+    assert (stats.rank, stats.trace_length, stats.j0) == (d, 1000, 7)
 
 
 def two_letter_measure():
@@ -93,12 +86,9 @@ def two_letter_measure():
 
 
 @pytest.mark.parametrize("seed", [1, 4, 9])
-def test_streaming_multiletter_equals_trace_based(seed):
-    mu = two_letter_measure()
-    trace = generate_walk(mu, 600, seed=seed)
-    stats = walk_prefix_stats(2, 600, seed, measure=mu)
-    assert stats.counts == prefix_counts(trace).counts
-    assert stats.counts == quadratic_prefix_counts(trace)
+def test_prefix_counts_multiletter_match_quadratic_recount(seed):
+    trace = generate_walk(two_letter_measure(), 600, seed=seed)
+    assert walk_prefix_stats(trace).counts == quadratic_prefix_counts(trace)
 
 
 def test_prefix_counts_of_trace_prefixes():
@@ -108,11 +98,17 @@ def test_prefix_counts_of_trace_prefixes():
     for n in (0, 1, 7, 150, 300):
         prefix = WalkTrace(trace.descriptor, trace.seed,
                            trace.increments[:n], trace.positions[:n])
-        assert prefix_counts(prefix).counts == quadratic_prefix_counts(prefix)
+        stats = walk_prefix_stats(prefix)
+        assert stats.counts == quadratic_prefix_counts(prefix)
+        assert stats.trace_length == n
+
+
+def f5_walk(n_steps, seed):
+    return generate_walk(uniform_standard_measure(G.Free(5)), n_steps, seed)
 
 
 def test_prefix_invariants_on_walk():
-    stats = walk_prefix_stats(5, 2000, seed=4)
+    stats = walk_prefix_stats(f5_walk(2000, seed=4))
     d = 5
     max_depth = stats.max_depth
     for j in range(1, max_depth + 1):
@@ -147,7 +143,7 @@ def test_log_bound_mostly_holds_at_scale():
     # for a solid majority (the claim is positive probability, not certainty).
     passing = 0
     for seed in range(1, 201):
-        stats = walk_prefix_stats(5, 10_000, seed=seed)
+        stats = walk_prefix_stats(f5_walk(10_000, seed))
         if log_bound_check(stats, 64).holds:
             passing += 1
     assert passing >= 60  # >= 30% of 200

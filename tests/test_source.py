@@ -65,10 +65,9 @@ def test_only_groups_refers_to_the_bfs_ball():
 
 
 def test_only_walks_and_freestats_know_the_trie_positions():
-    # Every other module reads positions through lengths() and payload(),
-    # so no per-type branch comes back into the closure or the experiments.
-    # freestats streams its own trie; the prefix-count oracle that reads a
-    # trace's trie lives in tests/oracles.py.
+    # Every other module reads positions through lengths(), payload() and,
+    # for freestats' prefix counts, depth_counts(), so no per-type branch
+    # comes back into the closure, the experiments or the statistics.
     found = [path.name for path in SOURCES
              if "TriePositions" in path.read_text()]
     assert found == ["walks.py"]
@@ -79,6 +78,14 @@ def test_only_experiments_and_cli_know_the_seed_fan_out():
     # so every seeded subcommand fans out and times its seeds the same way.
     found = [path.name for path in SOURCES if "map_seeds" in path.read_text()]
     assert found == ["cli.py", "experiments.py"]
+
+
+def test_only_walks_samples_a_measure():
+    # generate_walk is sample_atom_indices' one caller, so every command
+    # draws a seed's steps once, through the trace it then reads.
+    found = [path.name for path in SOURCES
+             if "sample_atom_indices" in path.read_text()]
+    assert found == ["walks.py"]
 
 
 def test_only_groups_names_a_family_by_its_kind():
