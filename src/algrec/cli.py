@@ -5,7 +5,7 @@ nilpotent-check, witness-check. Every command is deterministic in its
 config and seeds; data files are byte-identical across re-runs, and wall
 clock times live only in the manifest. Every seeded subcommand (walk,
 closure, ar-estimate, free-stats) runs one function per seed through
-``_run_seeds``, which fans the seeds out over ``--threads`` workers and
+``_run_seeds``, which runs the seeds in seed order in this process and
 times each seed in the manifest as ``seed<n>``.
 
 Exit codes: 0 success, 2 configuration error, 3 budget exhausted without a
@@ -66,8 +66,6 @@ def _load(args) -> ScenarioConfig:
         overrides["out_dir"] = args.out
     config = replace(config, **overrides)
     validate_config(config)
-    if args.threads < 1:
-        raise ConfigError("--threads", "must be >= 1")
     return config
 
 
@@ -88,19 +86,24 @@ def _open_output(config: ScenarioConfig, command: str, seeds=()
     return meta, out_dir, RunManifest(command, meta["config"], seeds)
 
 
-def _run_seeds(one, seeds, threads: int, manifest: RunManifest) -> list:
-    """one(seed) -> (files, value) for each seed, on up to ``threads``
-    workers and timed where it runs. The files and ``seed<n>`` times go to
-    the manifest in seed order, and the values come back in that order."""
-    def timed(seed: int):
+def _run_seeds(one, seeds, manifest: RunManifest) -> list:
+    """one(seed) -> (files, value) for each seed in order, each timed; files
+    and ``seed<n>`` times go to the manifest, values come back in order.
+    Every seed runs; the first failure in seed order is then raised."""
+    values, failures = [], []
+    for seed in seeds:
         start = time.perf_counter()
-        return one(seed), time.perf_counter() - start
-
-    results = experiments.map_seeds(timed, seeds, threads)
-    for seed, ((files, _), elapsed) in zip(seeds, results):
+        try:
+            files, value = one(seed)
+        except Exception as exc:
+            failures.append(exc)
+            continue
         manifest.add_file(*files)
-        manifest.record_time(f"seed{seed}", elapsed)
-    return [value for (_, value), _ in results]
+        manifest.record_time(f"seed{seed}", time.perf_counter() - start)
+        values.append(value)
+    if failures:
+        raise failures[0]
+    return values
 
 
 def cmd_walk(args) -> int:
@@ -116,7 +119,7 @@ def cmd_walk(args) -> int:
         write_positions_csv(trace, csv_path, meta=meta)
         return (trace_path, csv_path), None
 
-    _run_seeds(one, config.seeds, args.threads, manifest)
+    _run_seeds(one, config.seeds, manifest)
     manifest.write(out_dir)
     print(f"walk: wrote {len(manifest.files)} files to {out_dir}")
     return EXIT_OK
@@ -142,7 +145,7 @@ def cmd_closure(args) -> int:
         write_witness_report_csv(report, report_path, meta=meta)
         return (dump_path, report_path), None
 
-    _run_seeds(one, config.seeds, args.threads, manifest)
+    _run_seeds(one, config.seeds, manifest)
     manifest.write(out_dir)
     print(f"closure: wrote {len(manifest.files)} files to {out_dir}")
     return EXIT_OK
@@ -161,7 +164,7 @@ def cmd_ar_estimate(args) -> int:
             measure, config.steps, eval_steps, config.tail_index, budget,
             radius, seed)
 
-    per_seed = _run_seeds(one, config.seeds, args.threads, manifest)
+    per_seed = _run_seeds(one, config.seeds, manifest)
     rows = [row for seed_rows in per_seed for row in seed_rows]
     path = out_dir / "ar_coverage.csv"
     write_csv(path, {**meta, "group": config.group, "radius": radius},
@@ -258,7 +261,7 @@ def cmd_free_stats(args) -> int:
                    check.holds, f"{profile.slope:.6f}"]
         return (vj_path, growth_path), summary
 
-    summary_rows = _run_seeds(one, config.seeds, args.threads, manifest)
+    summary_rows = _run_seeds(one, config.seeds, manifest)
 
     exact_p = freestats.return_probability(d)
     estimate = freestats.return_excursion_estimate(d, config.excursions,
@@ -369,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, action="append",
                        help="override config seeds (repeatable)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes (default 1)")
+        # Read by nothing: perfbench's fan-out probe still passes it.
+        p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
 
     for name, fn in [("walk", cmd_walk), ("closure", cmd_closure),
                      ("ar-estimate", cmd_ar_estimate),

@@ -104,6 +104,10 @@ _MEMO_MAX_BALL = 512
 
 
 class Membership(enum.Enum):
+    """Membership in a truncated closure. AbsentWithinBudget means "not
+    reached by products that stay in the radius ball", not "decided
+    absent": outside Z, products that leave the ball may reach it."""
+
     PRESENT = "Present"
     ABSENT_WITHIN_BUDGET = "AbsentWithinBudget"
     UNKNOWN = "Unknown"
@@ -365,7 +369,7 @@ class InverseWitnessReport:
 
     @property
     def present_fraction_decided(self) -> Fraction:
-        """Fraction Present among indices decided either way within budget."""
+        """Fraction Present among rows Present or AbsentWithinBudget."""
         decided = self.present + self.absent
         return Fraction(self.present, decided) if decided else Fraction(0)
 

@@ -41,10 +41,6 @@ class ConfigError(ValueError):
         self.path = path
         self.message = message
 
-    def __reduce__(self):
-        # Rebuilt from both fields, so the error crosses a worker's pickle.
-        return type(self), (self.path, self.message)
-
 
 def _key(path: str, default, *, minimum: int | None = None):
     """A field read from ``path`` ("section.key"), at least ``minimum``."""

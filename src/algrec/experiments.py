@@ -1,58 +1,20 @@
 """Seeded experiment routines shared by the CLI and the acceptance suite:
-the seed fan-out, ``map_seeds``, and one seed's coverage survey. Every
-routine is deterministic in its arguments, and the fan-out returns results
-in seed order; the CLI fans every seeded subcommand out, and times each
-seed, through ``cli._run_seeds``."""
+one seed's coverage survey, and a mean of fractions. Every routine is
+deterministic in its arguments; the CLI runs every seeded subcommand's
+seeds, in seed order and in its own process, through ``cli._run_seeds``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from .closure import ClosureBudget, coverage_fraction, inverse_witness_report
 from .measures import SymmetricMeasure
 from .walks import WalkTrace, generate_walk
 
-T = TypeVar("T")
-
 #: Seed set pinned for the statistical acceptance runs.
 ACCEPTANCE_SEEDS: tuple[int, ...] = tuple(range(1, 101))
-
-#: The per-seed function forked workers inherit; set while a pool runs.
-_SEED_FN: Callable[[int], object] | None = None
-
-
-def _apply_seed_fn(seed: int):
-    return _SEED_FN(seed)
-
-
-def map_seeds(fn: Callable[[int], T], seeds: Sequence[int],
-              threads: int = 1) -> list[T]:
-    """Apply fn to each seed; results come back in seed order. Past one
-    seed and one thread, fn runs in min(threads, seeds) forked processes,
-    each with its own caches; only seeds and results are pickled. Either
-    way every seed runs, and the first failure in seed order is raised."""
-    workers = min(threads, len(seeds))
-    if workers <= 1:
-        results, failures = [], []
-        for s in seeds:
-            try:
-                results.append(fn(s))
-            except Exception as exc:
-                failures.append(exc)
-        if failures:
-            raise failures[0]
-        return results
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-    global _SEED_FN
-    _SEED_FN = fn
-    try:
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            return list(pool.map(_apply_seed_fn, seeds))
-    finally:
-        _SEED_FN = None
 
 
 @dataclass(frozen=True)

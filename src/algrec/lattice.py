@@ -193,8 +193,9 @@ class LatticeBasisReport:
     index: int | None  # None means infinite (rank-deficient)
 
 
-def _lattice_basis(vecs: Sequence[Vec], d: int) -> list[Vec]:
-    """Echelon basis of the lattice the vectors generate, at most d rows.
+def _lattice_basis(vecs: Sequence[Vec], d: int) -> dict[int, Vec]:
+    """Echelon basis of the lattice the vectors generate, at most d rows,
+    keyed by each row's leading column.
 
     Each vector is reduced against the basis row with its leading column by
     Euclid row steps, which are unimodular, so the lattice never changes.
@@ -212,17 +213,23 @@ def _lattice_basis(vecs: Sequence[Vec], d: int) -> list[Vec]:
                 q = p[col] // v[col]
                 p, v = v, tuple(x - q * y for x, y in zip(p, v))
             pivots[col] = p
-    return list(pivots.values())
+    return pivots
 
 
 def subgroup_index(vectors: Sequence[Sequence[int]]) -> LatticeBasisReport:
     """Smith-form report on the subgroup of Z^d generated by the vectors."""
     vecs = _as_vectors(vectors)
     d = len(vecs[0])
-    basis = _lattice_basis(vecs, d)
-    nonzero = smith_normal_form(_Vectors(basis)).diagonal if basis else ()
+    pivots = _lattice_basis(vecs, d)
+    basis = _Vectors(pivots.values())
+    nonzero = smith_normal_form(basis).diagonal if basis else ()
     rank = len(nonzero)
     index = math.prod(nonzero) if rank == d else None
+    # At full rank the echelon basis is triangular; its diagonal checks.
+    if index is not None and index != abs(math.prod(
+            row[col] for col, row in pivots.items())):
+        raise ArithmeticError(f"Smith diagonal {nonzero} does not match the "
+                              "echelon basis")
     diagonal = nonzero + (0,) * (min(len(vecs), d) - rank)
     return LatticeBasisReport(tuple(vecs), rank, diagonal, index)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,7 +18,7 @@ from .groups import (
     standard_generators,
 )
 
-#: Denominator used when quantizing non-rational weight profiles.
+#: Significant bits kept when quantizing non-rational weight profiles.
 _WEIGHT_QUANTUM_BITS = 40
 
 
@@ -112,8 +113,8 @@ def heavy_tail_measure_z2(alpha: float, cutoff: int,
     Atoms sit at +-(k, k) for 1 <= k <= cutoff with weights proportional
     to k**-alpha, scaled to total 1 - minor_weight; the remaining
     minor_weight is split between +-(1, -1). Non-integer alpha profiles
-    are quantized to multiples of 2**-40 before normalization so that all
-    stored weights stay exact rationals.
+    are rounded to 40 significant bits before normalization, so that all
+    stored weights stay exact rationals and none rounds to zero.
     """
     if alpha <= 1:
         raise ValueError("alpha must be > 1")
@@ -127,8 +128,9 @@ def heavy_tail_measure_z2(alpha: float, cutoff: int,
         profile = [Fraction(1, k ** int(alpha)) for k in range(1, cutoff + 1)]
     else:
         scale = 1 << _WEIGHT_QUANTUM_BITS
-        profile = [Fraction(round(k ** -float(alpha) * scale), scale)
-                   for k in range(1, cutoff + 1)]
+        profile = [Fraction(round(m * scale), scale) * Fraction(2) ** e
+                   for m, e in (math.frexp(k ** -float(alpha))
+                                for k in range(1, cutoff + 1))]
     total = 2 * sum(profile)
     major = 1 - minor_weight
     atoms = []

@@ -1,14 +1,12 @@
-import concurrent.futures
 import hashlib
 import json
-import multiprocessing
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from algrec import closure, experiments, groups as G, walks
+from algrec import closure, groups as G, walks
 from algrec.cli import main
 from algrec.config import (
     ConfigError,
@@ -466,17 +464,9 @@ def test_experiment_configs_load(path):
     assert load_config(str(path)).seeds
 
 
-def test_threads_flag(tmp_path, monkeypatch, capsys):
-    """Each walking command hands --threads and its seeds to the one fan-out,
-    and its manifest times each seed once, as seed<n>, and nothing else."""
-    seen = []
-    real = experiments.map_seeds
-
-    def spy(fn, seeds, threads=1):
-        seen.append((threads, tuple(seeds)))
-        return real(fn, seeds, threads)
-
-    monkeypatch.setattr(experiments, "map_seeds", spy)
+def test_threads_flag(tmp_path):
+    """Each walking command accepts --threads, which nothing reads, and its
+    manifest times each seed once, as seed<n>, and nothing else."""
     for command, text, threads in [("walk", WALK_CFG, "1"),
                                    ("closure", AR_CFG, "2"),
                                    ("ar-estimate", AR_CFG, "3"),
@@ -487,54 +477,6 @@ def test_threads_flag(tmp_path, monkeypatch, capsys):
                      "--seed", "4", "--seed", "5"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert list(manifest["wall_clock_seconds"]) == ["seed4", "seed5"]
-    assert seen == [(1, (4, 5)), (2, (4, 5)), (3, (4, 5)), (1, (4, 5))]
-    out = tmp_path / "d"
-    assert main(["walk", "--config", write_config(tmp_path, WALK_CFG),
-                 "--out", str(out), "--threads", "0"]) == 2
-    assert "config error: --threads: must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_workers_capped_at_seed_count(tmp_path, monkeypatch):
-    """--threads 64 over two seeds asks for two workers, and one seed asks
-    for none. The pool is a stand-in that runs in this process."""
-    made = []
-
-    class Pool:
-        def __init__(self, workers, mp_context):
-            made.append(workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, seeds):
-            return map(fn, seeds)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    cfg = write_config(tmp_path, WALK_CFG)
-    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "a"),
-                 "--threads", "64"]) == 0
-    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "b"),
-                 "--threads", "64", "--seed", "5"]) == 0
-    assert made == [2]
-    assert (tmp_path / "a" / "positions_seed2.csv").exists()
-
-
-def test_config_error_from_a_worker_reaches_the_parent():
-    """A ConfigError raised in a forked worker pickles back whole, so the
-    parent re-raises it, not BrokenProcessPool. Two workers, never more."""
-    def fn(seed):
-        if seed == 2:
-            raise ConfigError("walk.steps", "must be >= 1")
-        return seed
-
-    with pytest.raises(ConfigError) as raised:
-        experiments.map_seeds(fn, [1, 2, 3], 2)
-    assert str(raised.value) == "walk.steps: must be >= 1"
-    assert raised.value.path == "walk.steps"
 
 
 HEISENBERG_AR_CFG = (AR_CFG.replace("CyclicZ(12)", "Heisenberg")
@@ -549,18 +491,18 @@ HEISENBERG_AR_CFG = (AR_CFG.replace("CyclicZ(12)", "Heisenberg")
         "free-stats"])
 def test_data_files_independent_of_threads(tmp_path, monkeypatch, command,
                                            text):
-    """Two forked workers, each growing its own ball-size and closure-store
-    caches from empty, write the bytes of one process into every data file,
-    and the manifest lists them in the same order. manifest.json holds
-    times, so it is not compared."""
+    """A run that grows its ball-size and closure-store caches from empty,
+    and a second that reuses them warm and passes --threads 2, write the
+    same bytes into every data file, and their manifests list the files in
+    the same order. manifest.json holds times, so it is not compared."""
     cfg = write_config(tmp_path, text)
+    G.ball_size.cache_clear()
+    monkeypatch.setattr(closure, "_STORES", {})
     runs = []
-    for threads in ("1", "2"):
-        G.ball_size.cache_clear()
-        monkeypatch.setattr(closure, "_STORES", {})
-        out = tmp_path / f"threads{threads}"
+    for name, extra in [("cold", []), ("warm", ["--threads", "2"])]:
+        out = tmp_path / name
         assert main([command, "--config", cfg, "--out", str(out),
-                     "--threads", threads]) == 0
+                     *extra]) == 0
         listed = json.loads((out / "manifest.json").read_text())["files"]
         runs.append(([Path(f).name for f in listed],
                      {p.name: p.read_bytes() for p in out.iterdir()
@@ -570,24 +512,27 @@ def test_data_files_independent_of_threads(tmp_path, monkeypatch, command,
 
 
 def test_worker_failure_fails_the_run(tmp_path, capsys):
-    """A seed whose file cannot be written fails the run with the same error
-    at one and at two workers, after every other seed has written its files,
-    and no worker process outlives the call."""
+    """A seed whose file cannot be written fails the run, after every other
+    seed has written its files and before any manifest is; when seeds 2 and
+    3 both fail, the error is seed 2's."""
     cfg = write_config(tmp_path, WALK_CFG)
-    errors, listings = [], []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        (out / "trace_seed2.txt").mkdir(parents=True)
-        assert main(["walk", "--config", cfg, "--out", str(out), "--threads",
-                     threads, "--seed", "1", "--seed", "2", "--seed", "3"]) == 2
-        assert multiprocessing.active_children() == []
-        errors.append(capsys.readouterr().err.replace(str(out), "OUT"))
-        listings.append(sorted(p.name for p in out.iterdir()))
-    assert errors[0] == errors[1]
-    assert listings[0] == listings[1]
-    assert "positions_seed3.csv" in listings[0]
-    assert errors[0].startswith("error: [Errno 21] ")
-    assert errors[0].count("\n") == 1
+    for failing, seeds in [((2,), (1, 2, 3)), ((2, 3), (1, 2, 3, 4))]:
+        out = tmp_path / f"failing{len(failing)}"
+        for seed in failing:
+            (out / f"trace_seed{seed}.txt").mkdir(parents=True)
+        argv = ["walk", "--config", cfg, "--out", str(out)]
+        for seed in seeds:
+            argv += ["--seed", str(seed)]
+        assert main(argv) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: [Errno 21] ")
+        assert error.count("\n") == 1
+        assert "trace_seed2.txt" in error
+        # A failing seed's trace name is the directory that blocks it.
+        expected = {f"trace_seed{seed}.txt" for seed in seeds}
+        expected |= {f"positions_seed{seed}.csv" for seed in seeds
+                     if seed not in failing}
+        assert {p.name for p in out.iterdir()} == expected
 
 
 def test_cli_rejects_repeated_seed(tmp_path, capsys):
@@ -638,7 +583,6 @@ TINY_WEIGHTS_Z = ("[measure]\nkind = explicit\natoms = "
      "measure.atoms"),
     ("walk", HEAVY_TAIL_Z2 + "alpha = 40\n", "measure.alpha"),
     ("walk", TINY_WEIGHTS_Z, "measure.atoms"),
-    ("walk", HEAVY_TAIL_Z2 + "alpha = 45/2\n", "measure.alpha"),
     ("walk", HEAVY_TAIL_Z2 + "minor_weight = 2\n", "measure.minor_weight"),
     ("walk", "[group]\nkind = z(2)\n", "group.kind"),
 ], ids=["k_min-above-k_max", "n_max", "seeds", "pool_size", "max_k",
@@ -648,7 +592,7 @@ TINY_WEIGHTS_Z = ("[measure]\nkind = explicit\natoms = "
         "free-stats-asymmetric", "torsion-no-x-y", "torsion-unparsed-y",
         "z-integer-not-integer", "explicit-weights-sum", "explicit-unparsed-atom",
         "heavy-tail-weight-below-table", "explicit-weight-below-table",
-        "heavy-tail-weight-rounds-to-zero", "heavy-tail-minor-weight",
+        "heavy-tail-minor-weight",
         "group-alias"])
 def test_cli_invalid_setting_fails_before_writing(tmp_path, capsys, command,
                                                   text, path):
@@ -657,6 +601,18 @@ def test_cli_invalid_setting_fails_before_writing(tmp_path, capsys, command,
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}: ")
     assert not out.exists()
+
+
+def test_heavy_tail_alphas_around_a_tiny_weight_build(tmp_path):
+    """At cutoff 4, alpha 45/2 weighs (4, 4) by 4**-22.5 = 2**-45 before
+    normalization; rounded to significant bits, not to a fixed quantum, it
+    stays positive, so like alpha 22 and 23 the measure builds and samples."""
+    for alpha in ("22", "45/2", "23"):
+        out = tmp_path / alpha.replace("/", "_")
+        cfg = write_config(tmp_path, HEAVY_TAIL_Z2 + f"alpha = {alpha}\n")
+        assert main(["walk", "--config", cfg, "--out", str(out),
+                     "--seed", "1"]) == 0
+        assert (out / "positions_seed1.csv").exists()
 
 
 def test_cli_walk_runs_with_no_steps(tmp_path):

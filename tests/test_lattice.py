@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from algrec import lattice
 from algrec.lattice import (
     FULL,
     IN_HALF_SPACE,
@@ -65,6 +66,16 @@ def test_subgroup_index_examples():
     collinear = subgroup_index([(2, 4), (1, 2)])
     assert collinear.rank == 1
     assert collinear.index is None
+
+
+def test_subgroup_index_raises_on_a_wrong_smith_diagonal(monkeypatch):
+    # The index [Z^2 : <(2,0),(0,3)>] is 6; a Smith form claiming (1, 2)
+    # disagrees with the echelon basis's determinant.
+    real = lattice.smith_normal_form
+    monkeypatch.setattr(lattice, "smith_normal_form",
+                        lambda rows: replace(real(rows), diagonal=(1, 2)))
+    with pytest.raises(ArithmeticError, match="does not match the echelon basis"):
+        subgroup_index([(2, 0), (0, 3)])
 
 
 def test_snf_fixed_cases():

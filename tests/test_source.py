@@ -73,11 +73,21 @@ def test_only_walks_and_freestats_know_the_trie_positions():
     assert found == ["walks.py"]
 
 
-def test_only_experiments_and_cli_know_the_seed_fan_out():
-    # experiments.py defines map_seeds and cli._run_seeds is its one caller,
-    # so every seeded subcommand fans out and times its seeds the same way.
-    found = [path.name for path in SOURCES if "map_seeds" in path.read_text()]
-    assert found == ["cli.py", "experiments.py"]
+def _imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_no_module_starts_processes():
+    # cli._run_seeds runs every seeded subcommand's seeds in one process, so
+    # no module imports a process or thread pool.
+    found = [f"{path.name}: {name}" for path in SOURCES
+             for name in _imported_modules(ast.parse(path.read_text()))
+             if name.split(".")[0] in ("multiprocessing", "concurrent")]
+    assert SOURCES and found == []
 
 
 def test_only_walks_samples_a_measure():
