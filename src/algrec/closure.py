@@ -112,9 +112,6 @@ class Membership(enum.Enum):
     ABSENT_WITHIN_BUDGET = "AbsentWithinBudget"
     UNKNOWN = "Unknown"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class ClosureBudget:

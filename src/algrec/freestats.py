@@ -39,10 +39,8 @@ def _check_rank(d: int) -> None:
 class PrefixStats:
     """Distinct length-j prefixes V_j over the positions of a free-group trace."""
 
-    rank: int
     trace_length: int
     counts: dict[int, int]
-    j0: int = 64
 
     @property
     def max_depth(self) -> int:
@@ -52,37 +50,21 @@ class PrefixStats:
         return self.counts.get(j, 0)
 
 
-def walk_prefix_stats(trace: WalkTrace, j0: int = 64) -> PrefixStats:
+def walk_prefix_stats(trace: WalkTrace) -> PrefixStats:
     """The distinct prefix counts V_j of a free-group trace, read off the
-    trie that holds its positions."""
+    trie that holds its positions. Whether V_j <= log2(j) past a depth j0
+    is smallest_passing_j0(stats) <= j0."""
     if not isinstance(trace.descriptor, Free):
         raise ValueError("prefix statistics need a free-group trace")
-    return PrefixStats(trace.descriptor.rank, len(trace),
-                       trace.positions.depth_counts(), j0)
-
-
-@dataclass(frozen=True)
-class LogBoundCheck:
-    holds: bool
-    first_violation: int | None
-
-
-def log_bound_check(stats: PrefixStats, j0: int | None = None) -> LogBoundCheck:
-    """True iff V_j <= log2(j) for every depth j with j0 < j <= max depth."""
-    threshold = stats.j0 if j0 is None else j0
-    for j in sorted(stats.counts):
-        if j <= threshold:
-            continue
-        if 2 ** stats.counts[j] > j:  # exact form of V_j > log2(j)
-            return LogBoundCheck(False, j)
-    return LogBoundCheck(True, None)
+    return PrefixStats(len(trace), trace.positions.depth_counts())
 
 
 def smallest_passing_j0(stats: PrefixStats) -> int:
-    """The least threshold j0 for which log_bound_check holds."""
+    """The deepest j with V_j > log2(j), or 0 if there is none: the least
+    j0 >= 0 such that V_j <= log2(j) at every depth j > j0."""
     worst = 0
     for j, v in stats.counts.items():
-        if 2 ** v > j:
+        if 2 ** v > j:  # exact form of V_j > log2(j)
             worst = max(worst, j)
     return worst
 
@@ -183,16 +165,11 @@ class ExceedanceRow:
     def empirical(self) -> float:
         return self.exceed_count / self.trials
 
-    def bound(self, d: int) -> float:
-        return cancellation_bound(d, self.length)
-
 
 @dataclass(frozen=True)
 class CancellationSample:
     """The exceedance table of a cancellation experiment."""
 
-    d: int
-    seed: int
     table: tuple[ExceedanceRow, ...]
 
 
@@ -248,7 +225,7 @@ def cancellation_experiment(d: int, trials: int, pool: Sequence[Sequence[int]],
                 agree &= row == inverse_codes[which, t]
             exceed += int(np.count_nonzero(agree))
         rows.append(ExceedanceRow(s, trials, exceed))
-    return CancellationSample(d, seed, tuple(rows))
+    return CancellationSample(tuple(rows))
 
 
 def cancellation_bound(d: int, s: int) -> float:
@@ -261,15 +238,9 @@ def cancellation_bound(d: int, s: int) -> float:
 
 @dataclass(frozen=True)
 class SphereGrowthProfile:
-    rank: int
     counts: dict[int, int]  # radius -> closure elements of that word length
     slope: float
     ambient_slope: float
-
-    @property
-    def below_four_growth(self) -> bool:
-        """Whether the fitted log2 slope stays under 2 (the 4**r line)."""
-        return self.slope < 2.0
 
 
 def sphere_growth_profile(result: ClosureResult) -> SphereGrowthProfile:
@@ -290,4 +261,4 @@ def sphere_growth_profile(result: ClosureResult) -> SphereGrowthProfile:
         my = sum(p[1] for p in pts) / n
         denom = sum((p[0] - mx) ** 2 for p in pts)
         slope = sum((p[0] - mx) * (p[1] - my) for p in pts) / denom
-    return SphereGrowthProfile(d, counts, slope, math.log2(2 * d - 1))
+    return SphereGrowthProfile(counts, slope, math.log2(2 * d - 1))

@@ -46,9 +46,6 @@ class PrefixTrie:
         self._depth: list[int] = [0]
         self._last: list[int] = [0]  # letter on the edge into each node
 
-    def __len__(self) -> int:
-        return len(self._parent)
-
     def _child(self, node: int, letter: int) -> int:
         key = (node, letter)
         child = self._children.get(key)
@@ -201,13 +198,6 @@ class TriePositions(Positions):
     def _view(self, index: slice) -> TriePositions:
         return TriePositions(self.descriptor, self.trie, self.ids[index])
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TriePositions) and other.trie is self.trie:
-            return other.descriptor == self.descriptor and other.ids == self.ids
-        return super().__eq__(other)
-
-    __hash__ = Positions.__hash__
-
     def lengths(self) -> list[int]:
         """Word length of each position, read from the trie."""
         depth = self.trie.depth
@@ -247,12 +237,6 @@ class WalkTrace:
 
     def __len__(self) -> int:
         return len(self.increments)
-
-    def position(self, n: int) -> GroupElement:
-        """X_n with 1-based indexing, matching the usual walk notation."""
-        if not 1 <= n <= len(self.positions):
-            raise IndexError(f"position index {n} outside 1..{len(self.positions)}")
-        return self.positions[n - 1]
 
 
 def seeded_rng(seed) -> np.random.Generator:

@@ -370,7 +370,7 @@ def whole_array_cancellation_experiment(d, trials, pool, seed,
             exceed += int((cancels > math.log2(s)).sum())
             done += batch
         rows.append(ExceedanceRow(s, trials, exceed))
-    return CancellationSample(d, seed, tuple(rows))
+    return CancellationSample(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,14 @@ def test_parse_errors_carry_field_paths():
             ("[walk]\nsteps = 200\neval_steps = 20,200\ntail_index = 50\n",
              "walk.tail_index"),
             ("[walk]\nsteps = 10\ntail_index = 11\n", "walk.tail_index"),
-            ("[nilpotent]\nk_min = 2\nk_max = 1\n", "nilpotent.k_min")]:
+            ("[nilpotent]\nk_min = 2\nk_max = 1\n", "nilpotent.k_min"),
+            ("steps = 10\n[walk]\n", "<config>"),
+            ("[walk]\nsteps\n", "<config>"),
+            ("[walk]\nstep = 3\n", "walk.step: unknown key"),
+            ("[measure]\nkind = uniform\n", "measure.kind"),
+            ("[run]\nseeds =\n", "run.seeds"),
+            ("[witness]\nmode = torsionx\n", "witness.mode"),
+            ("[walk]\nsteps = 10\neval_steps = 5,11\n", "walk.eval_steps")]:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert str(err.value).startswith(path)
@@ -585,6 +592,7 @@ TINY_WEIGHTS_Z = ("[measure]\nkind = explicit\natoms = "
     ("walk", TINY_WEIGHTS_Z, "measure.atoms"),
     ("walk", HEAVY_TAIL_Z2 + "minor_weight = 2\n", "measure.minor_weight"),
     ("walk", "[group]\nkind = z(2)\n", "group.kind"),
+    ("walk", "[measure]\nkind = explicit\n", "measure.atoms"),
 ], ids=["k_min-above-k_max", "n_max", "seeds", "pool_size", "max_k",
         "closure-no-steps", "ar-estimate-no-steps", "free-stats-no-steps",
         "heavy-tail-alpha", "heavy-tail-z1", "free-stats-z2",
@@ -593,7 +601,7 @@ TINY_WEIGHTS_Z = ("[measure]\nkind = explicit\natoms = "
         "z-integer-not-integer", "explicit-weights-sum", "explicit-unparsed-atom",
         "heavy-tail-weight-below-table", "explicit-weight-below-table",
         "heavy-tail-minor-weight",
-        "group-alias"])
+        "group-alias", "explicit-no-atoms"])
 def test_cli_invalid_setting_fails_before_writing(tmp_path, capsys, command,
                                                   text, path):
     out = tmp_path / "out"

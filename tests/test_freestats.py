@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algrec import groups as G
+from algrec import freestats, groups as G
 from algrec.closure import ClosureBudget, closure
 from algrec.freestats import (
     CANCEL_CHUNK,
-    LogBoundCheck,
     PrefixStats,
     cancellation_bound,
     cancellation_experiment,
-    log_bound_check,
     random_reduced_words,
     return_excursion_estimate,
     return_probability,
@@ -74,9 +72,9 @@ def test_prefix_counts_requires_free_group():
 def test_prefix_counts_match_quadratic_recount(d, seed):
     mu = uniform_standard_measure(G.Free(d))
     trace = generate_walk(mu, 1000, seed=seed)
-    stats = walk_prefix_stats(trace, j0=7)
+    stats = walk_prefix_stats(trace)
     assert stats.counts == quadratic_prefix_counts(trace)
-    assert (stats.rank, stats.trace_length, stats.j0) == (d, 1000, 7)
+    assert stats.trace_length == 1000
 
 
 def two_letter_measure():
@@ -119,23 +117,41 @@ def test_prefix_invariants_on_walk():
         assert stats.count(j + 1) <= (2 * d - 1) * stats.count(j)
 
 
+def log_bound_holds(stats, j0):
+    """The reference decision: V_j <= log2(j) at every depth j > j0."""
+    return all(2 ** v <= j for j, v in stats.counts.items() if j > j0)
+
+
 def test_log_bound_check_boundary_equality():
-    stats = PrefixStats(5, 10, {1: 5, 2: 1}, j0=1)
-    assert log_bound_check(stats, 1) == LogBoundCheck(True, None)
+    # 2**1 = 2 at depth 2 is no violation; depth 1 is one, at or below j0 = 1.
+    stats = PrefixStats(10, {1: 5, 2: 1})
+    assert smallest_passing_j0(stats) == 1
 
 
 def test_log_bound_check_violation():
-    stats = PrefixStats(5, 10, {8: 4}, j0=2)
-    result = log_bound_check(stats, 2)
-    assert not result.holds
-    assert result.first_violation == 8
+    stats = PrefixStats(10, {8: 4})
+    assert smallest_passing_j0(stats) == 8
+    assert not log_bound_holds(stats, 2)
 
 
 def test_smallest_passing_j0():
-    stats = PrefixStats(5, 10, {2: 3, 8: 4, 16: 4, 100: 6}, j0=64)
+    stats = PrefixStats(10, {2: 3, 8: 4, 16: 4, 100: 6})
     # violations at 2 (2**3 > 2), 8 (2**4 > 8), 16 (2**4 = 16 ok), 100 (2**6 < 100? 64<100 ok)
     assert smallest_passing_j0(stats) == 8
-    assert log_bound_check(stats, 8).holds
+    assert log_bound_holds(stats, 8) and not log_bound_holds(stats, 7)
+    assert smallest_passing_j0(PrefixStats(0, {})) == 0
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_log_bound_decision_matches_reference_on_walks(d):
+    """free-stats' log_bound_holds, smallest_passing_j0 <= j0, agrees with
+    the depth-by-depth reference on real walks, at every j0 checked."""
+    mu = uniform_standard_measure(G.Free(d))
+    for seed in range(1, 7):
+        stats = walk_prefix_stats(generate_walk(mu, 3000, seed))
+        smallest = smallest_passing_j0(stats)
+        for j0 in (-1, 0, 7, 64):
+            assert (smallest <= j0) == log_bound_holds(stats, j0)
 
 
 def test_log_bound_mostly_holds_at_scale():
@@ -144,7 +160,7 @@ def test_log_bound_mostly_holds_at_scale():
     passing = 0
     for seed in range(1, 201):
         stats = walk_prefix_stats(f5_walk(10_000, seed))
-        if log_bound_check(stats, 64).holds:
+        if smallest_passing_j0(stats) <= 64:
             passing += 1
     assert passing >= 60  # >= 30% of 200
 
@@ -162,6 +178,17 @@ def test_return_probability_fixed_point_range():
         p = return_probability(d)
         two_d = 2 * d
         assert p == Fraction(1, two_d) * (1 + Fraction(two_d - 1, two_d) * p)
+
+
+def test_return_probability_rejects_a_tampered_closed_form(monkeypatch):
+    # The closed form 10/91 of d = 5, moved by 10**-9, fails the check.
+    def tampered(*args):
+        value = Fraction(*args)
+        return value + Fraction(1, 10 ** 9) if args == (10, 91) else value
+
+    monkeypatch.setattr(freestats, "Fraction", tampered)
+    with pytest.raises(ArithmeticError, match="fixed-point equation"):
+        return_probability(5)
 
 
 def test_return_excursion_estimates_pinned_seeds():
@@ -365,7 +392,6 @@ def test_sphere_growth_single_generator():
     profile = sphere_growth_profile(result)
     assert profile.counts == {1: 1, 2: 1, 3: 1, 4: 1}
     assert profile.slope == 0
-    assert profile.below_four_growth
 
 
 def test_sphere_growth_two_letter_monoid():

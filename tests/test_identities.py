@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from algrec import groups as G
 from algrec.identities import (
+    ZInverseCertificate,
     nilpotent_identity_grid,
     torsion_inverse_witness,
     z_inverse_witness,
@@ -133,3 +134,12 @@ def test_z_inverse_witness_full_range():
     for x in range(1, 101):
         for y in range(-100, 0):
             assert z_inverse_witness(x, y).combination_value == -x
+
+
+def test_z_inverse_witness_rejects_a_tampered_certificate(monkeypatch):
+    # A combination off by one no longer sums to -x, and the check raises.
+    value = ZInverseCertificate.combination_value.fget
+    monkeypatch.setattr(ZInverseCertificate, "combination_value",
+                        property(lambda cert: value(cert) + 1))
+    with pytest.raises(ArithmeticError, match="does not sum to -x"):
+        z_inverse_witness(3, -2)

@@ -165,11 +165,6 @@ def check_positions(descriptor, atoms, data):
             [x.payload for x in ref]
         for i in range(-len(ref), len(ref)):
             assert pos[i] == ref[i]
-        for n in range(1, len(ref) + 1):
-            assert trace.position(n) == ref[n - 1]
-        for n in (0, len(ref) + 1):
-            with pytest.raises(IndexError):
-                trace.position(n)
         bounds = st.integers(-len(ref) - 2, len(ref) + 2) | st.none()
         cut = slice(data.draw(bounds), data.draw(bounds),
                     data.draw(st.sampled_from([None, 1, 2, -1, -3])))
