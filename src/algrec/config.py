@@ -21,7 +21,6 @@ from typing import get_type_hints
 from .groups import (
     GroupDescriptor,
     ZPower,
-    format_element,
     parse_descriptor,
     parse_element,
 )
@@ -211,8 +210,7 @@ def validate_config(config: ScenarioConfig) -> None:
 
 def build_measure(config: ScenarioConfig) -> SymmetricMeasure:
     """The config's step measure; ConfigError, naming the field, when the
-    measure settings do not give a symmetric measure on the group whose
-    weights fit the 64-bit sampling table."""
+    measure settings do not give one (make_measure says why)."""
     if config.measure_kind == "standard":
         return uniform_standard_measure(config.group)
     if config.measure_kind == "heavy-tail":
@@ -223,24 +221,16 @@ def build_measure(config: ScenarioConfig) -> SymmetricMeasure:
             raise ConfigError("measure.minor_weight", "must lie strictly "
                               "between 0 and 1 for a heavy-tail measure")
         try:
-            measure = heavy_tail_measure_z2(float(config.heavy_alpha),
-                                            config.heavy_cutoff,
-                                            config.heavy_minor_weight)
-            measure.sampling_thresholds  # raises if a weight is too small
+            return heavy_tail_measure_z2(float(config.heavy_alpha),
+                                         config.heavy_cutoff,
+                                         config.heavy_minor_weight)
         except ValueError as exc:
             raise ConfigError("measure.alpha", str(exc)) from None
-        return measure
     if not config.explicit_atoms:
         raise ConfigError("measure.atoms", "explicit measure needs atoms")
     try:
-        measure = make_measure(config.group,
-                               [(parse_element(config.group, el), w)
-                                for el, w in config.explicit_atoms])
-        measure.sampling_thresholds  # raises if a weight is too small
+        return make_measure(config.group,
+                            [(parse_element(config.group, el), w)
+                             for el, w in config.explicit_atoms])
     except ValueError as exc:
         raise ConfigError("measure.atoms", str(exc)) from None
-    offending = measure.first_asymmetric_atom
-    if offending is not None:
-        raise ConfigError("measure.atoms",
-                          f"not symmetric at atom {format_element(offending)}")
-    return measure

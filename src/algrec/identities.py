@@ -22,10 +22,6 @@ class NilpotentGridResult:
         return len(self.rows)
 
     @property
-    def failures(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
-        return tuple(row[:6] for row in self.rows if not row[8])
-
-    @property
     def all_hold(self) -> bool:
         return all(row[8] for row in self.rows)
 

@@ -27,51 +27,20 @@ class SymmetricMeasure:
     """Finite-support probability measure with mu(g) = mu(g^-1).
 
     Atoms are stored sorted by canonical element text, weights are exact
-    Fractions summing to 1. Sampling converts the weights once into a
-    64-bit fixed-point cumulative table; that conversion is the only
-    lossy step anywhere in the walk pipeline.
+    Fractions summing to 1. ``sampling_thresholds`` is the 64-bit
+    fixed-point cumulative table t_0 < ... < t_{K-1} = 2**64: atom i is
+    drawn for a uniform u in [0, 2**64) iff t_{i-1} <= u < t_i. That table
+    is the only lossy step anywhere in the walk pipeline. make_measure is
+    the one constructor, so every instance is a valid step measure.
     """
 
     descriptor: GroupDescriptor
     atoms: tuple[tuple[GroupElement, Fraction], ...]
+    sampling_thresholds: tuple[int, ...]
 
     @cached_property
     def support(self) -> tuple[GroupElement, ...]:
         return tuple(g for g, _ in self.atoms)
-
-    @cached_property
-    def weight_by_element(self) -> dict[GroupElement, Fraction]:
-        return {g: w for g, w in self.atoms}
-
-    @cached_property
-    def first_asymmetric_atom(self) -> GroupElement | None:
-        """The first atom g, in canonical order, with mu(g) != mu(g^-1), or
-        None: the one symmetry check, made once per measure."""
-        weights = self.weight_by_element
-        for g, w in self.atoms:
-            if weights.get(invert(g)) != w:
-                return g
-        return None
-
-    @cached_property
-    def sampling_thresholds(self) -> tuple[int, ...]:
-        """Cumulative 64-bit thresholds t_0 < ... < t_{K-1} = 2**64.
-
-        Atom i is drawn for a uniform u in [0, 2**64) iff
-        t_{i-1} <= u < t_i.
-        """
-        scale = 1 << 64
-        acc = Fraction(0)
-        out = []
-        for _, w in self.atoms:
-            acc += w
-            out.append(round(acc * scale))
-        if out[-1] != scale:
-            raise ValueError("weights do not sum to 1")
-        for prev, cur in zip([0] + out, out):
-            if cur <= prev:
-                raise ValueError("atom weight too small for the 64-bit table")
-        return tuple(out)
 
 
 def make_measure(descriptor: GroupDescriptor,
@@ -79,8 +48,9 @@ def make_measure(descriptor: GroupDescriptor,
     """Build a measure from (element, weight) pairs.
 
     Duplicate elements are merged, weights must be positive rationals
-    summing to exactly 1. Symmetry is not forced here; the measure's
-    first_asymmetric_atom checks it.
+    summing to exactly 1. Then every atom must keep a cell of the 64-bit
+    sampling table, and the first atom, in canonical order, whose inverse
+    has a different weight is named: the one symmetry check.
     """
     merged: dict[GroupElement, Fraction] = {}
     for g, w in weighted_atoms:
@@ -96,7 +66,16 @@ def make_measure(descriptor: GroupDescriptor,
     if total != 1:
         raise ValueError(f"weights sum to {total}, expected 1")
     atoms = tuple(sorted(merged.items(), key=lambda it: canonical_key(it[0])))
-    return SymmetricMeasure(descriptor, atoms)
+    thresholds, acc = [0], Fraction(0)
+    for _, w in atoms:
+        acc += w
+        thresholds.append(round(acc * (1 << 64)))
+        if thresholds[-1] <= thresholds[-2]:
+            raise ValueError("atom weight too small for the 64-bit table")
+    for g, w in atoms:
+        if merged.get(invert(g)) != w:
+            raise ValueError(f"not symmetric at atom {format_element(g)}")
+    return SymmetricMeasure(descriptor, atoms, tuple(thresholds[1:]))
 
 
 def uniform_standard_measure(descriptor: GroupDescriptor) -> SymmetricMeasure:

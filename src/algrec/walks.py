@@ -35,12 +35,11 @@ from .measures import SymmetricMeasure
 
 
 class PrefixTrie:
-    """Interned trie over reduced words of F_rank; node 0 is the empty word
-    and every other node is a (parent, letter) pair, so each node is the
+    """Interned trie over reduced words of a free group; node 0 is the empty
+    word and every other node is a (parent, letter) pair, so each node is the
     reduced word spelled by the letters on its path from the root."""
 
-    def __init__(self, rank: int):
-        self.rank = rank
+    def __init__(self):
         self._children: dict[tuple[int, int], int] = {}
         self._parent: list[int] = [-1]
         self._depth: list[int] = [0]
@@ -259,10 +258,6 @@ def sample_atom_indices(measure: SymmetricMeasure, n_steps: int,
 def generate_walk(measure: SymmetricMeasure, n_steps: int,
                   seed: int) -> WalkTrace:
     """Generate the trace X_n = z_1 ... z_n of length n_steps."""
-    offending = measure.first_asymmetric_atom
-    if offending is not None:
-        raise ValueError(
-            f"measure is not symmetric at atom {format_element(offending)}")
     support = measure.support
     steps = sample_atom_indices(measure, n_steps, seed).tolist()
     return trace_from_increments(measure.descriptor, seed,
@@ -279,7 +274,7 @@ def trace_from_increments(descriptor: GroupDescriptor, seed: int,
            for z in increments):
         raise ValueError("increment descriptor mismatch")
     if isinstance(descriptor, Free):
-        trie = PrefixTrie(descriptor.rank)
+        trie = PrefixTrie()
         ids = []
         node = 0
         for z in increments:

@@ -327,6 +327,13 @@ def test_cli_lattice_classify_bad_row_names_file_and_line(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_cli_lattice_classify_missing_file(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["lattice-classify", str(missing)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: vectors: no such file: {missing}\n"
+
+
 FREE_CFG = """
 [group]
 kind = Free(5)

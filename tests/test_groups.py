@@ -243,11 +243,6 @@ def test_text_format_examples():
     assert G.format_element(G.GroupElement(G.CyclicZ(12), 5)) == "5 mod 12"
 
 
-def test_parse_rejects_unreduced_word():
-    with pytest.raises(ValueError):
-        G.parse_element(G.Free(2), "x1 X1")
-
-
 def test_descriptor_text_roundtrip():
     for descriptor in SMALL_DESCRIPTORS:
         assert G.parse_descriptor(str(descriptor)) == descriptor
@@ -255,6 +250,50 @@ def test_descriptor_text_roundtrip():
         G.parse_descriptor("Free(1)")
     with pytest.raises(ValueError):
         G.parse_descriptor("Quaternion")
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (G.parse_descriptor, ("ZPower(2",),
+     "malformed group descriptor 'ZPower(2'"),
+    (G.parse_descriptor, ("Heisenberg(3)",),
+     "group 'Heisenberg' takes no parameter"),
+    (G.parse_descriptor, ("ZPower",),
+     "group 'ZPower' needs an integer parameter"),
+    (G.parse_element, (G.ZPower(2), "(1,2,3)"),
+     "cannot parse '(1,2,3)' as ZPower(2) element: expected 2 coordinates"),
+    (G.parse_element, (G.ZPower(2), "1,2"),
+     "cannot parse '1,2' as ZPower(2) element: expected (c1,...,cd)"),
+    (G.parse_element, (G.Free(2), "x3"), "cannot parse 'x3' as Free(2) "
+     "element: letter 3 outside alphabet of rank 2"),
+    (G.parse_element, (G.Free(2), "y1"),
+     "cannot parse 'y1' as Free(2) element: bad letter token 'y1'"),
+    (G.parse_element, (G.Free(2), "x1 X1"),
+     "cannot parse 'x1 X1' as Free(2) element: word is not reduced"),
+    (G.parse_element, (G.Heisenberg(), "(1,2,3)"),
+     "cannot parse '(1,2,3)' as Heisenberg element: expected H(a,b,c)"),
+    (G.parse_element, (G.LamplighterZ(), "(1;{})"), "cannot parse '(1;{})' "
+     "as LamplighterZ element: expected L(x;{s1,...})"),
+    (G.parse_element, (G.LamplighterZ(), "L(1;0})"), "cannot parse 'L(1;0})' "
+     "as LamplighterZ element: expected lamp support in braces"),
+    (G.parse_element, (G.LamplighterZ(), "L(1;{2,1})"),
+     "cannot parse 'L(1;{2,1})' as LamplighterZ element: "
+     "lamp support must be sorted and duplicate-free"),
+    (G.parse_element, (G.CyclicZ(12), "3 mod 5"),
+     "cannot parse '3 mod 5' as CyclicZ(12) element: expected 'r mod m'"),
+    (G.parse_element, (G.CyclicZ(12), "13 mod 12"),
+     "cannot parse '13 mod 12' as CyclicZ(12) element: residue out of range"),
+    (G.ball_size, (G.ZPower(1), -1), "radius must be >= 0"),
+    (G.ball_distances, (G.ZPower(1), -1), "radius must be >= 0"),
+], ids=["descriptor-unclosed", "descriptor-extra-parameter",
+        "descriptor-no-parameter", "zpower-arity", "zpower-no-parens",
+        "free-letter-outside-rank", "free-bad-token", "free-unreduced",
+        "heisenberg-no-h", "lamplighter-no-l", "lamplighter-no-braces",
+        "lamplighter-unsorted", "cyclic-other-modulus", "cyclic-residue",
+        "ball-size-radius", "ball-distances-radius"])
+def test_malformed_input_raises_its_own_message(call, args, message):
+    with pytest.raises(ValueError) as err:
+        call(*args)
+    assert str(err.value) == message
 
 
 def test_ball_sizes_against_bfs():

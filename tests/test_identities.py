@@ -35,7 +35,7 @@ def test_grid_agrees_with_pointwise():
     table taken for the wrong k or the wrong length would show."""
     grid = nilpotent_identity_grid(range(-2, 3), range(1, 4), range(1, 4))
     assert grid.cases == 5 ** 4 * 9
-    assert grid.all_hold and grid.failures == ()
+    assert grid.all_hold
     for ks, ns, ms in [(range(-2, 3), range(1, 4), range(1, 4)),
                        ([2, -3, 0, 2], [4, 1], [1, 5, 2])]:
         expected = []

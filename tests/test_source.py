@@ -39,6 +39,13 @@ def _name_counts(node: ast.AST) -> Counter:
                    or isinstance(n, ast.Attribute))
 
 
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often each attribute is read (``.name`` loaded) within node."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load))
+
+
 def test_every_public_name_is_referenced():
     # A name counts as used when some top-level statement other than its
     # own definition refers to it; imports alone do not count.
@@ -67,10 +74,11 @@ UNREFERENCED_METHODS_OK = {
 
 def test_every_public_method_is_referenced():
     # A method or property counts as used when code outside its own body
-    # names it; dunder and private methods are left out.
+    # reads it as an attribute; a local variable of the same name does not
+    # count. Dunder and private methods are left out.
     used = Counter()
     for path in SOURCES + PERFBENCH:
-        used += _name_counts(ast.parse(path.read_text()))
+        used += _attribute_reads(ast.parse(path.read_text()))
     public: set[str] = set()
     unused = []
     for path in SOURCES:
@@ -81,11 +89,23 @@ def test_every_public_method_is_referenced():
                 if not isinstance(fn, ast.FunctionDef) or fn.name[0] == "_":
                     continue
                 public.add(fn.name)
-                if used[fn.name] == _name_counts(fn)[fn.name] \
+                if used[fn.name] == _attribute_reads(fn)[fn.name] \
                         and fn.name not in UNREFERENCED_METHODS_OK:
                     unused.append(f"{path.name}:{cls.name}.{fn.name}")
     assert unused == []
     assert set(UNREFERENCED_METHODS_OK) <= public
+
+
+def test_only_measures_checks_a_measure():
+    # make_measure, SymmetricMeasure's one constructor, builds the 64-bit
+    # sampling table and makes the one symmetry check, so no other module
+    # raises for a measure, and only walks reads the table.
+    texts = {path.name: path.read_text() for path in SOURCES}
+    checks = [name for name, text in texts.items()
+              if "not symmetric" in text or "64-bit table" in text]
+    reads = [name for name, text in texts.items()
+             if "sampling_thresholds" in _attribute_reads(ast.parse(text))]
+    assert checks == ["measures.py"] and reads == ["walks.py"]
 
 
 def test_only_groups_refers_to_the_bfs_ball():
