@@ -34,19 +34,27 @@ and phase one of the simplex method with Bland's rule (Bland 1977), on a
 d-row integer tableau, completes the d pivot vectors to the positive
 certificate.
 
+On a spanning set in the plane a direct kernel replaces both: its pivots are
+the first vector and the first one not parallel to it, its start rays their
+signed normals, and its double description holds at most two rays and no
+zero sets. It finds the same rays, so the same normal and certificate. Sets
+on a line, and sets in other dimensions, take the general path.
+
 The classification decides the hull first. Only a set that does not span
 is then written in coordinates of a basis of its span and decided there.
 
 The Smith report is taken on an echelon basis of the generated lattice, at
 most d rows found by Euclid row steps, so its cost does not grow with the
-number of vectors.
+number of vectors. When that basis has d pivots equal to +-1 it is
+unimodular, the lattice is Z^d and every invariant factor is 1: no Smith
+form is taken, and no later vector is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 Vec = tuple[int, ...]
@@ -62,7 +70,10 @@ class _Vectors(list):
 def _as_vectors(vectors: Sequence[Sequence[int]]) -> _Vectors:
     if type(vectors) is _Vectors:
         return vectors
-    vecs = _Vectors(tuple(int(x) for x in v) for v in vectors)
+    try:
+        vecs = _Vectors(tuple(map(index, v)) for v in vectors)
+    except TypeError:
+        raise ValueError("vectors must have integer entries") from None
     if not vecs:
         raise ValueError("need at least one vector")
     d = len(vecs[0])
@@ -76,7 +87,7 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def _primitive(v: Vec) -> Vec:
-    g = math.gcd(*[abs(x) for x in v]) if any(v) else 0
+    g = math.gcd(*v)
     return tuple(x // g for x in v) if g > 1 else v
 
 
@@ -193,15 +204,24 @@ class LatticeBasisReport:
     index: int | None  # None means infinite (rank-deficient)
 
 
+def _is_unit_basis(pivots: dict[int, Vec], d: int) -> bool:
+    """d pivots, all +-1: the basis is unimodular, the lattice Z^d."""
+    return len(pivots) == d and all(abs(row[col]) == 1
+                                    for col, row in pivots.items())
+
+
 def _lattice_basis(vecs: Sequence[Vec], d: int) -> dict[int, Vec]:
     """Echelon basis of the lattice the vectors generate, at most d rows,
     keyed by each row's leading column.
 
     Each vector is reduced against the basis row with its leading column by
     Euclid row steps, which are unimodular, so the lattice never changes.
+    It stops at a unit basis, whose lattice Z^d no later vector can change.
     """
     pivots: dict[int, Vec] = {}
     for v in vecs:
+        if _is_unit_basis(pivots, d):
+            break
         for col in range(d):
             if not v[col]:
                 continue
@@ -222,7 +242,8 @@ def subgroup_index(vectors: Sequence[Sequence[int]]) -> LatticeBasisReport:
     d = len(vecs[0])
     pivots = _lattice_basis(vecs, d)
     basis = _Vectors(pivots.values())
-    nonzero = smith_normal_form(basis).diagonal if basis else ()
+    nonzero = ((1,) * d if _is_unit_basis(pivots, d)
+               else smith_normal_form(basis).diagonal if basis else ())
     rank = len(nonzero)
     index = math.prod(nonzero) if rank == d else None
     # At full rank the echelon basis is triangular; its diagonal checks.
@@ -377,6 +398,32 @@ def _dual_extreme_rays(vecs: list[Vec], rows: list[list[int]],
     return rays
 
 
+def _planar_dual_rays(vecs: list[Vec]) -> tuple[list[int], list[Vec]] | None:
+    """The pivot indices [0, j] and dual-cone rays that the elimination and
+    `_dual_extreme_rays` find for a set in Z^2; None when it lies on a line.
+
+    Two rays of a pointed cone in the plane are adjacent, so a vector that
+    cuts one ray and not the other replaces the cut ray by their
+    combination on its line.
+    """
+    x0, y0 = vecs[0]
+    j = next((k for k, (x, y) in enumerate(vecs) if x0 * y != y0 * x), None)
+    if j is None:
+        return None
+    rays = [_primitive((-y, x) if y * u < x * w else (y, -x))
+            for (x, y), (u, w) in ((vecs[j], vecs[0]), (vecs[0], vecs[j]))]
+    for x, y in vecs[1:j] + vecs[j + 1:]:
+        dots = [a * x + b * y for a, b in rays]
+        if min(dots) >= 0:
+            continue
+        if max(dots) < 0:
+            return [0, j], []
+        (tp, p), (tq, q) = sorted(zip(dots, rays), reverse=True)
+        rays = [p] if tp == 0 else [p, _primitive(
+            (tp * q[0] - tq * p[0], tp * q[1] - tq * p[1]))]
+    return [0, j], rays
+
+
 def _check_normal(normal: Vec, vecs: Sequence[Vec]) -> None:
     if not any(normal) or any(_dot(normal, v) < 0 for v in vecs):
         raise ArithmeticError(f"normal {normal} does not bound the vectors")
@@ -395,22 +442,25 @@ def zero_in_convex_hull(vectors: Sequence[Sequence[int]]) -> ConeWitness:
     nonzero = [v for v in dict.fromkeys(vecs) if any(v)]
     if not nonzero:
         return HalfSpaceWitness(tuple([1] + [0] * (d - 1)))
-    # [V^T | I], eliminated once (see the module docstring).
-    n = len(nonzero)
-    rows = [list(col) + [int(i == c) for i in range(d)]
-            for c, col in enumerate(zip(*nonzero))]
-    basis = _echelon(rows, n)
-    if len(basis) < d:
+    planar = _planar_dual_rays(nonzero) if d == 2 else None
+    if planar is None:
+        # [V^T | I], eliminated once (see the module docstring).
+        n = len(nonzero)
+        rows = [list(col) + [int(i == c) for i in range(d)]
+                for c, col in enumerate(zip(*nonzero))]
+        basis = _echelon(rows, n)
         # A row without a pivot is zero on every vector, so its identity
-        # part is orthogonal to the span.
-        normal = _primitive(tuple(rows[-1][n:]))
+        # part is the one ray needed: a normal orthogonal to the span.
+        rays = (_dual_extreme_rays(nonzero, rows, basis) if len(basis) == d
+                else [tuple(rows[-1][n:])])
     else:
-        rays = _dual_extreme_rays(nonzero, rows, basis)
-        if not rays:
-            return _positive_certificate(nonzero, basis)
-        # The set spans, so the dual cone is pointed: the sum of its extreme
-        # rays is nonzero, and it is valid because each summand is.
-        normal = _primitive(tuple(map(sum, zip(*rays))))
+        basis, rays = planar
+    if not rays:
+        return _positive_certificate(nonzero, basis)
+    # The normal is the primitive sum of the rays. A spanning set's dual cone
+    # is pointed, so the sum is nonzero, and it is valid because each
+    # summand is.
+    normal = _primitive(tuple(map(sum, zip(*rays))))
     _check_normal(normal, nonzero)
     return HalfSpaceWitness(normal)
 

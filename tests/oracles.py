@@ -204,6 +204,28 @@ def subset_conic_solution(vecs, target) -> dict[int, Fraction] | None:
     return None
 
 
+def unimodular(d: int, rng, steps: int = 8) -> tuple[tuple, tuple]:
+    """A random unimodular integer matrix M and its inverse, as row tuples.
+
+    M is a product of elementary row operations, each adding a multiple of
+    one row to another, and one sign flip of a row. The inverse takes the
+    inverse of each factor in reverse order, applied as column operations.
+    """
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    inv = [row[:] for row in m]
+    for _ in range(steps):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    k = rng.randrange(d)
+    m[k] = [-a for a in m[k]]
+    for row in inv:
+        row[k] = -row[k]
+    return tuple(map(tuple, m)), tuple(map(tuple, inv))
+
+
 # ---------------------------------------------------------------------------
 # Z^2 semigroup reachability on a bitmask grid
 

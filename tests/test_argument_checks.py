@@ -20,6 +20,7 @@ from algrec.freestats import (
     sphere_growth_profile,
 )
 from algrec.identities import nilpotent_identity_grid, torsion_inverse_witness
+from algrec.lattice import classify_subsemigroup, subgroup_index
 from algrec.measures import (
     heavy_tail_measure_z2,
     make_measure,
@@ -63,11 +64,16 @@ MU_Z = uniform_standard_measure(Z)
     (lambda: heavy_tail_measure_z2(2, 4, Fraction(1)),
      "minor_weight must lie strictly between 0 and 1"),
     (lambda: sample_atom_indices(MU_Z, -1, 1), "n_steps must be >= 0"),
+    (lambda: classify_subsemigroup([(0.5, 0)]),
+     "vectors must have integer entries"),
+    (lambda: subgroup_index([(2.5, 0), (0, 1)]),
+     "vectors must have integer entries"),
 ], ids=["closure-budget", "contains-foreign-element", "tail-index-past-trace",
         "eval-step-past-walk", "no-excursions", "word-length-zero",
         "no-trials", "empty-pool", "growth-on-z", "grid-n-zero",
         "torsion-max-k-zero", "foreign-atom", "no-atoms", "heavy-tail-cutoff",
-        "heavy-tail-minor-weight", "negative-steps"])
+        "heavy-tail-minor-weight", "negative-steps", "fractional-generator",
+        "fractional-lattice-vector"])
 def test_refused_argument_names_itself(call, message):
     with pytest.raises(ValueError) as err:
         call()

@@ -33,6 +33,7 @@ from oracles import (
     integer_determinant,
     separator_normals,
     subset_conic_solution,
+    unimodular,
 )
 
 
@@ -66,6 +67,13 @@ def test_subgroup_index_examples():
     collinear = subgroup_index([(2, 4), (1, 2)])
     assert collinear.rank == 1
     assert collinear.index is None
+    # A unit basis appears before the last vector, so the basis stops
+    # there; the report still lists every vector.
+    for rows in ([(1, 0), (0, 1), (6, 4)], [(2, 1), (1, 1), (4, -2)]):
+        report = subgroup_index(rows)
+        assert (report.rank, report.smith_diagonal, report.index) == \
+            (2, (1, 1), 1)
+        assert report.vectors == tuple(rows)
 
 
 def test_subgroup_index_raises_on_a_wrong_smith_diagonal(monkeypatch):
@@ -321,10 +329,11 @@ def test_classify_agrees_with_grid_oracle_random():
         assert (result.kind == FULL) == covers, (gens, result)
 
 
-def _random_set(rng: random.Random) -> list[tuple[int, ...]]:
-    """A seeded set in Z^1-Z^4, entries in -1..1 or -3..3, with duplicates,
-    positive multiples, a half-space bias or a rank deficit mixed in."""
-    d = rng.randint(1, 4)
+def _random_set(rng: random.Random, low: int = 1) -> list[tuple[int, ...]]:
+    """A seeded set in Z^low-Z^4, entries in -1..1 or -3..3, with
+    duplicates, positive multiples, a half-space bias or a rank deficit
+    mixed in."""
+    d = rng.randint(low, 4)
     style = rng.choice(["unit", "box", "dupes", "multiples", "half", "rank"])
     size = rng.randint(1, 12)
     top = 1 if style == "unit" else 3
@@ -348,14 +357,32 @@ def _random_set(rng: random.Random) -> list[tuple[int, ...]]:
     return vecs
 
 
+def _walk_positions(d: int, points: int, rng: random.Random):
+    pos = [0] * d
+    seen: dict[tuple[int, ...], None] = {}
+    while len(seen) < points:
+        pos[rng.randrange(d)] += rng.choice((1, -1))
+        seen.setdefault(tuple(pos), None)
+    return list(seen)
+
+
+BOX = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)]
+
+
 def test_hull_normal_matches_separator_enumeration():
     # On a spanning set the normal is the primitive sum of the valid
     # (d-1)-subset normals, and there is none exactly when the origin is
     # interior. Sets that do not span are taken in span coordinates, as
-    # classify_subsemigroup does.
+    # classify_subsemigroup does. Besides seeded sets in Z^1-Z^4, every
+    # 1-3-subset of the 7x7 box and Z^2 walk positions check the planar
+    # kernel.
     rng = random.Random(909)
-    for _ in range(1500):
-        nonzero = [v for v in dict.fromkeys(_random_set(rng)) if any(v)]
+    sets = [_random_set(rng) for _ in range(1500)]
+    sets += [list(c) for k in (1, 2, 3) for c in itertools.combinations(BOX, k)]
+    sets += [_walk_positions(2, points, rng)
+             for points in (3, 5, 8, 13, 21, 34, 55, 89, 144, 200) * 3]
+    for vecs in sets:
+        nonzero = [v for v in dict.fromkeys(vecs) if any(v)]
         if not nonzero:
             continue
         reduction = _span_coordinates(nonzero)
@@ -371,23 +398,13 @@ def test_hull_normal_matches_separator_enumeration():
         assert witness == HalfSpaceWitness(tuple(x // g for x in total)), vecs
 
 
-def _walk_positions(d: int, points: int, rng: random.Random):
-    pos = [0] * d
-    seen: dict[tuple[int, ...], None] = {}
-    while len(seen) < points:
-        pos[rng.randrange(d)] += rng.choice((1, -1))
-        seen.setdefault(tuple(pos), None)
-    return list(seen)
-
-
 def _pin_corpus() -> list[list[tuple[int, ...]]]:
     """Seeded sets: _random_set sets in Z^1-Z^4 and the lattice benchmark's
     shapes (Z^2 sets of 1-4 vectors from the 7x7 box, Z^2/Z^3/Z^4 walk
     positions, 20-vector Z^4 boxes)."""
     rng = random.Random(4242)
-    box = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)]
     sets = [_random_set(rng) for _ in range(1500)]
-    sets += [rng.sample(box, rng.randint(1, 4)) for _ in range(1000)]
+    sets += [rng.sample(BOX, rng.randint(1, 4)) for _ in range(1000)]
     for d, points in ((2, 200), (3, 140), (4, 36)):
         sets += [_walk_positions(d, points, rng) for _ in range(6)]
     sets += [[tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(20)]
@@ -440,6 +457,37 @@ def test_large_sets_match_separator_enumeration():
             assert set(result.hull_witness.points) <= set(vecs)
             _verify_certificate(result.hull_witness, d)
     assert {FULL, IN_HALF_SPACE} <= kinds
+
+
+def test_change_of_basis_preserves_the_classification():
+    # A unimodular M is an automorphism of Z^d, so the semigroups V and MV
+    # generate have one kind, index, rank and Smith diagonal. It maps the
+    # dual cone of V onto M^-T times it, extreme rays onto extreme rays, so
+    # on a spanning V the normal moves with M^-T exactly.
+    rng = random.Random(31)
+    moved = 0
+    for _ in range(3000):
+        vecs = _random_set(rng, low=2)
+        d = len(vecs[0])
+        m, inv = unimodular(d, rng)
+        assert mat_mul(m, inv) == [[int(i == j) for j in range(d)]
+                                   for i in range(d)]
+        mapped = [tuple(_dot(row, v) for row in m) for v in vecs]
+        before, after = classify_subsemigroup(vecs), classify_subsemigroup(mapped)
+        assert (after.kind, after.index, after.rank) == \
+            (before.kind, before.index, before.rank), (vecs, m)
+        report = subgroup_index(vecs)
+        assert subgroup_index(mapped).smith_diagonal == report.smith_diagonal
+        if after.kind != IN_HALF_SPACE:
+            continue
+        dots = [_dot(after.normal, v) for v in mapped]
+        assert min(dots) >= 0 and max(dots) > 0, (vecs, m)
+        if report.rank == d:
+            image = tuple(_dot(col, before.normal) for col in zip(*inv))
+            g = math.gcd(*image)
+            assert after.normal == tuple(x // g for x in image), (vecs, m)
+            moved += 1
+    assert moved > 1000
 
 
 @pytest.mark.parametrize("kind", ["box200", "trace36"])
